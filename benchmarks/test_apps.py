@@ -4,7 +4,7 @@ halo exchange) — the workloads the paper's applications motivate (§II)."""
 import pytest
 
 from benchmarks.conftest import record_table
-from repro.apps.allgather import ring_allgather
+from repro.collectives import ring_allgather
 from repro.apps.halo import HaloExchange2D
 from repro.apps.pingpong import pingpong_rtt_ns
 from repro.hw.node import NodeParams

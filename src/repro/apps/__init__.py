@@ -6,7 +6,7 @@ neighbour exchange on the sub-cluster ring.
 """
 
 from repro.apps.pingpong import pingpong_rtt_ns
-from repro.apps.allgather import ring_allgather
+from repro.collectives import ring_allgather
 from repro.apps.halo import HaloExchange2D
 from repro.apps.gpu_stencil import DualGPUStencil, GPUStencil
 

@@ -2,10 +2,18 @@
 
 Usage::
 
-    python -m repro.bench <experiment> [...]
+    python -m repro.bench <command> [...]
     tca-bench --list
     tca-bench all --json
     tca-bench latency --trace trace.json --metrics metrics.json
+    tca-bench suite --smoke --shards 2 --report report.json
+    tca-bench perf --bench-json bench.json
+    tca-bench report --html dashboard.html
+
+Every registry entry (E1-E23), ``validate`` and ``all`` is a subcommand
+taking the experiment options; ``suite``, ``perf`` and ``report`` take
+only the options they read, so a misplaced option is a usage error
+(exit 2) rather than silently ignored.
 
 ``--trace`` / ``--metrics`` run the experiments under an observability
 session (see :mod:`repro.obs`): every engine the experiments build gets a
@@ -26,9 +34,8 @@ import argparse
 import contextlib
 import json
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
-from repro.bench import experiments
 from repro.bench.experiments import REGISTRY
 from repro.bench.series import SweepTable
 from repro.errors import ReproError
@@ -38,8 +45,8 @@ def _registry_runner(spec) -> Callable[[], object]:
     return lambda: spec.run("full")
 
 
-#: Every runnable name: the E1-E19 registry plus the utility commands.
-#: ``suite`` is handled separately (it orchestrates the registry).
+#: What ``all`` runs, in order: the E1-E23 registry plus the utility
+#: commands.  ``suite`` orchestrates the registry on its own.
 EXPERIMENTS: Dict[str, Callable[[], object]] = {
     **{name: _registry_runner(spec) for name, spec in REGISTRY.items()},
     "validate": lambda: _validate(),
@@ -73,14 +80,6 @@ def _suite_main(args) -> int:
     from repro.bench.suite import (DEFAULT_JOURNAL_DIR,
                                    render_experiments_md, run_suite)
 
-    if args.smoke and args.tiny:
-        print("error: --smoke and --tiny are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.resume and args.no_journal:
-        print("error: --resume needs the journal; drop --no-journal",
-              file=sys.stderr)
-        return 2
     mode = "smoke" if args.smoke else "tiny" if args.tiny else "full"
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     journal_dir = (None if args.no_journal
@@ -176,7 +175,7 @@ def _load_json(path: str, what: str):
 
 
 def _perf_main(args) -> int:
-    """``tca-bench perf`` with profiler/gate/history flags."""
+    """``tca-bench perf``: time, profile, gate and record the simulator."""
     import os
 
     from repro.bench import history as hist
@@ -272,10 +271,6 @@ def _report_main(args) -> int:
 
     from repro.bench import history as hist
 
-    if not args.html:
-        print("error: report requires --html PATH", file=sys.stderr)
-        return 2
-
     history = hist.load_history(args.history) if args.history else []
 
     perf_doc = gate = None
@@ -364,220 +359,8 @@ def to_payload(result: object) -> object:
     return {"text": str(result)}
 
 
-def main(argv=None) -> int:
-    """CLI entry point."""
-    parser = argparse.ArgumentParser(
-        prog="tca-bench",
-        description="Regenerate the paper's tables and figures from the "
-                    "TCA/PEACH2 simulation.")
-    parser.add_argument("experiment", nargs="?", default=None,
-                        help="experiment name, or 'all'")
-    parser.add_argument("--list", action="store_true",
-                        help="list available experiments")
-    parser.add_argument("--chart", action="store_true",
-                        help="also render sweeps as ASCII charts")
-    parser.add_argument("--json", action="store_true",
-                        help="emit results as a JSON document on stdout")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="write a Perfetto trace-event JSON file")
-    parser.add_argument("--metrics", metavar="PATH", default=None,
-                        help="write collected metrics (JSON; text for "
-                             "paths not ending in .json)")
-    parser.add_argument("--fault-plan", metavar="PLAN", default=None,
-                        help="arm a fault-injection plan on every engine: "
-                             "a preset (none, flaky-links, lost-irq, chaos),"
-                             " optionally NAME:SEED, or a JSON plan file "
-                             "(see docs/robustness.md)")
-    parser.add_argument("--engine-workers", type=int, default=None,
-                        metavar="N",
-                        help="run multi-engine sweeps (fig7, fig9) across "
-                             "N fork workers; output stays byte-identical "
-                             "to the inline run (default: "
-                             "TCA_ENGINE_WORKERS or inline)")
-    parser.add_argument("--bench-json", metavar="PATH", default=None,
-                        help="with the 'perf' experiment: write the "
-                             "wall-clock benchmark document to PATH "
-                             "(see docs/performance.md)")
-    group = parser.add_argument_group(
-        "suite options", "only meaningful with the 'suite' experiment "
-        "(see docs/experiments.md)")
-    group.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="number of worker processes (default 1)")
-    group.add_argument("--smoke", action="store_true",
-                       help="reduced sweeps that keep every anchor point")
-    group.add_argument("--tiny", action="store_true",
-                       help="minimal sweeps (determinism testing; most "
-                            "anchors are skipped)")
-    group.add_argument("--cache-dir", metavar="PATH", default=None,
-                       help="result-cache directory (default "
-                            "$TCA_BENCH_CACHE_DIR or .tca-bench-cache)")
-    group.add_argument("--no-cache", action="store_true",
-                       help="disable the result cache entirely")
-    group.add_argument("--force", action="store_true",
-                       help="ignore cache hits but still store results")
-    group.add_argument("--seed", type=int, default=0,
-                       help="suite seed, folded into every entry seed "
-                            "and cache key (default 0)")
-    group.add_argument("--report", metavar="PATH", default=None,
-                       help="write the tca-bench-suite/1 conformance "
-                            "report JSON to PATH")
-    group.add_argument("--render-md", metavar="PATH", nargs="?",
-                       const="EXPERIMENTS.md", default=None,
-                       help="regenerate the marked tables of EXPERIMENTS.md"
-                            " (or PATH) from the live results")
-    group.add_argument("--trace-out", metavar="PATH", default=None,
-                       help="write a wall-clock Perfetto trace of the "
-                            "suite run itself (worker timelines, cache "
-                            "latencies)")
-    group.add_argument("--journal-dir", metavar="PATH", default=None,
-                       help="crash-safe run-journal directory (default "
-                            ".tca-bench-journal)")
-    group.add_argument("--no-journal", action="store_true",
-                       help="disable the run journal (and --resume)")
-    group.add_argument("--resume", metavar="RUN_ID", default=None,
-                       help="resume a journalled run: restore its "
-                            "finished payloads and re-execute only the "
-                            "unfinished entries")
-    perf_group = parser.add_argument_group(
-        "perf options", "only meaningful with the 'perf' experiment or "
-        "the 'report' subcommand (see docs/performance.md)")
-    perf_group.add_argument("--profile", action="store_true",
-                            help="profile engine dispatch per experiment "
-                                 "and print the top hotspots")
-    perf_group.add_argument("--check", action="store_true",
-                            help="gate this run against --baseline; "
-                                 "exit nonzero on regression")
-    perf_group.add_argument("--baseline", metavar="PATH",
-                            default="BENCH_PR9.json",
-                            help="committed tca-bench-perf/1 baseline "
-                                 "for --check (default BENCH_PR9.json)")
-    perf_group.add_argument("--threshold", type=float, default=None,
-                            metavar="FRAC",
-                            help="allowed bare events/s regression "
-                                 "(default 0.15)")
-    perf_group.add_argument("--events-floor", type=float, default=None,
-                            metavar="N",
-                            help="with --check: absolute floor on the "
-                                 "run's overall bare events/s (catches "
-                                 "slow erosion the relative gate "
-                                 "cannot)")
-    perf_group.add_argument("--overhead-budget", type=float, default=None,
-                            metavar="RATIO",
-                            help="maximum instrumented/bare overhead "
-                                 "ratio (default 3.0)")
-    perf_group.add_argument("--history", metavar="PATH", default=None,
-                            help="perf-history JSONL: 'perf' appends "
-                                 "this run; 'report' plots the trend")
-    perf_group.add_argument("--perf-experiments", metavar="NAMES",
-                            default=None,
-                            help="comma-separated subset of the perf "
-                                 "experiments (tiny CI budgets)")
-    serve_group = parser.add_argument_group(
-        "serve options", "only meaningful with the 'serve' and "
-        "'serve-bench' subcommands (see docs/serving.md)")
-    serve_group.add_argument("--host", default="127.0.0.1",
-                             help="serve: bind address "
-                                  "(default 127.0.0.1)")
-    serve_group.add_argument("--port", type=int, default=8023,
-                             help="serve: TCP port; 0 picks an "
-                                  "ephemeral port (default 8023)")
-    serve_group.add_argument("--serve-workers", type=int, default=1,
-                             metavar="N",
-                             help="cold jobs per fork-worker generation;"
-                                  " 1 runs them inline on the executor "
-                                  "thread (default 1)")
-    serve_group.add_argument("--entry", default="fig9",
-                             help="serve-bench: registry entry to "
-                                  "compute cold (default fig9)")
-    serve_group.add_argument("--serve-bench-mode", default="smoke",
-                             choices=("full", "smoke", "tiny"),
-                             metavar="MODE",
-                             help="serve-bench: experiment mode "
-                                  "(default smoke)")
-    serve_group.add_argument("--requests", type=int, default=2000,
-                             metavar="N",
-                             help="serve-bench: warm requests per phase "
-                                  "(default 2000)")
-    serve_group.add_argument("--concurrency", type=int, default=32,
-                             metavar="C",
-                             help="serve-bench: concurrent keep-alive "
-                                  "connections (default 32)")
-    serve_group.add_argument("--coalesce", type=int, default=16,
-                             metavar="K",
-                             help="serve-bench: concurrent identical "
-                                  "cold submits (default 16)")
-    serve_group.add_argument("--assert-speedup", type=float,
-                             default=None, metavar="X",
-                             help="serve-bench: exit nonzero unless "
-                                  "cold-compute / warm-p50 >= X")
-    report_group = parser.add_argument_group(
-        "report options", "only meaningful with the 'report' subcommand")
-    report_group.add_argument("--html", metavar="PATH", default=None,
-                              help="write the self-contained dashboard "
-                                   "HTML to PATH")
-    report_group.add_argument("--perf-json", metavar="PATH", default=None,
-                              help="latest tca-bench-perf/1 document "
-                                   "(overhead ratios; gated against "
-                                   "--baseline when that file exists)")
-    report_group.add_argument("--suite-report", metavar="PATH",
-                              default=None,
-                              help="tca-bench-suite/1 report JSON "
-                                   "(anchor pass/fail)")
-    report_group.add_argument("--profile-json", metavar="PATH",
-                              default=None,
-                              help="profile document from "
-                                   "'perf --profile --json' (hotspots)")
-    args = parser.parse_args(argv)
-
-    if args.engine_workers is not None:
-        from repro.sim.executor import set_default_workers
-
-        try:
-            set_default_workers(args.engine_workers)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-
-    if args.list or args.experiment is None:
-        print("available experiments:")
-        for name in EXPERIMENTS:
-            print(f"  {name}")
-        print("  suite")
-        print("  serve")
-        print("  serve-bench")
-        print("  report")
-        return 0
-
-    if args.experiment == "suite":
-        return _suite_main(args)
-
-    if args.experiment == "serve":
-        from repro.serve.server import serve_main
-
-        return serve_main(args)
-
-    if args.experiment == "serve-bench":
-        from repro.serve.loadtest import loadtest_main
-
-        return loadtest_main(args)
-
-    if args.experiment == "report":
-        return _report_main(args)
-
-    if args.experiment == "perf" and (args.profile or args.check
-                                      or args.history
-                                      or args.perf_experiments):
-        return _perf_main(args)
-
-    names = list(EXPERIMENTS) if args.experiment == "all" \
-        else [args.experiment]
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        for name in unknown:
-            print(f"unknown experiment {name!r}; use --list",
-                  file=sys.stderr)
-        return 2
-
+def _experiments_main(args) -> int:
+    """Run registry entries (or ``validate``/``all``) and render them."""
     obs = None
     if args.trace or args.metrics:
         from repro.obs import Observability
@@ -600,7 +383,7 @@ def main(argv=None) -> int:
             stack.enter_context(obs.session())
         if faults is not None:
             stack.enter_context(faults.session())
-        for name in names:
+        for name in args.names:
             try:
                 results[name] = EXPERIMENTS[name]()
             except ReproError as exc:
@@ -609,22 +392,6 @@ def main(argv=None) -> int:
 
     if faults is not None:
         print(faults.summary(), file=sys.stderr)
-
-    if args.bench_json:
-        perf_report = results.get("perf")
-        if perf_report is None:
-            print("error: --bench-json requires the 'perf' experiment",
-                  file=sys.stderr)
-            return 2
-        try:
-            with open(args.bench_json, "w", encoding="utf-8") as fh:
-                json.dump(perf_report.to_dict(), fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write benchmark output: {exc}",
-                  file=sys.stderr)
-            return 1
-        print(f"benchmark -> {args.bench_json}", file=sys.stderr)
 
     if obs is not None:
         try:
@@ -658,6 +425,198 @@ def main(argv=None) -> int:
         print(render(result, chart=args.chart))
         print()
     return 0
+
+
+def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A help-less parent parser: options shared by several subcommands."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``tca-bench`` grammar: one subcommand per runnable name."""
+    parser = argparse.ArgumentParser(
+        prog="tca-bench",
+        description="Regenerate the paper's tables and figures from the "
+                    "TCA/PEACH2 simulation.")
+    parser.add_argument("--list", action="store_true",
+                        help="list available experiments")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+
+    as_json = _options()
+    as_json.add_argument("--json", action="store_true",
+                         help="emit results as a JSON document on stdout")
+    workers = _options()
+    workers.add_argument("--engine-workers", type=int, default=None,
+                         metavar="N",
+                         help="run multi-engine sweeps (fig7, fig9) across "
+                              "N fork workers; output stays byte-identical "
+                              "to the inline run (default: "
+                              "TCA_ENGINE_WORKERS or inline)")
+    experiment = _options(as_json, workers)
+    experiment.add_argument("--chart", action="store_true",
+                            help="also render sweeps as ASCII charts")
+    experiment.add_argument("--trace", metavar="PATH", default=None,
+                            help="write a Perfetto trace-event JSON file")
+    experiment.add_argument("--metrics", metavar="PATH", default=None,
+                            help="write collected metrics (JSON; text for "
+                                 "paths not ending in .json)")
+    experiment.add_argument("--fault-plan", metavar="PLAN", default=None,
+                            help="arm a fault-injection plan on every "
+                                 "engine: a preset (none, flaky-links, "
+                                 "lost-irq, chaos), optionally NAME:SEED, "
+                                 "or a JSON plan file "
+                                 "(see docs/robustness.md)")
+    runnable = [(name, f"{spec.eid}: {spec.title}")
+                for name, spec in REGISTRY.items()]
+    runnable += [("validate", "re-measure the headline anchors"),
+                 ("all", "every experiment, then validate and perf")]
+    for name, text in runnable:
+        sub = commands.add_parser(name, parents=[experiment], help=text)
+        sub.set_defaults(run=_experiments_main,
+                         names=list(EXPERIMENTS) if name == "all"
+                         else [name])
+
+    suite = commands.add_parser(
+        "suite", parents=[as_json, workers],
+        help="run the registry and check every paper anchor "
+             "(see docs/experiments.md)")
+    suite.set_defaults(run=_suite_main)
+    suite.add_argument("--shards", type=int, default=1, metavar="N",
+                       help="number of worker processes (default 1)")
+    modes = suite.add_mutually_exclusive_group()
+    modes.add_argument("--smoke", action="store_true",
+                       help="reduced sweeps that keep every anchor point")
+    modes.add_argument("--tiny", action="store_true",
+                       help="minimal sweeps (determinism testing; most "
+                            "anchors are skipped)")
+    suite.add_argument("--cache-dir", metavar="PATH", default=None,
+                       help="result-cache directory (default "
+                            "$TCA_BENCH_CACHE_DIR or .tca-bench-cache)")
+    suite.add_argument("--no-cache", action="store_true",
+                       help="disable the result cache entirely")
+    suite.add_argument("--force", action="store_true",
+                       help="ignore cache hits but still store results")
+    suite.add_argument("--seed", type=int, default=0,
+                       help="suite seed, folded into every entry seed "
+                            "and cache key (default 0)")
+    suite.add_argument("--report", metavar="PATH", default=None,
+                       help="write the tca-bench-suite/1 conformance "
+                            "report JSON to PATH")
+    suite.add_argument("--render-md", metavar="PATH", nargs="?",
+                       const="EXPERIMENTS.md", default=None,
+                       help="regenerate the marked tables of EXPERIMENTS.md"
+                            " (or PATH) from the live results")
+    suite.add_argument("--trace-out", metavar="PATH", default=None,
+                       help="write a wall-clock Perfetto trace of the "
+                            "suite run itself (worker timelines, cache "
+                            "latencies)")
+    suite.add_argument("--journal-dir", metavar="PATH", default=None,
+                       help="crash-safe run-journal directory (default "
+                            ".tca-bench-journal)")
+    journal = suite.add_mutually_exclusive_group()
+    journal.add_argument("--no-journal", action="store_true",
+                         help="disable the run journal (and --resume)")
+    journal.add_argument("--resume", metavar="RUN_ID", default=None,
+                         help="resume a journalled run: restore its "
+                              "finished payloads and re-execute only the "
+                              "unfinished entries")
+
+    gate = _options()
+    gate.add_argument("--baseline", metavar="PATH",
+                      default="BENCH_PR9.json",
+                      help="committed tca-bench-perf/1 baseline to gate "
+                           "against (default BENCH_PR9.json)")
+    gate.add_argument("--threshold", type=float, default=None,
+                      metavar="FRAC",
+                      help="allowed bare events/s regression "
+                           "(default 0.15)")
+    gate.add_argument("--overhead-budget", type=float, default=None,
+                      metavar="RATIO",
+                      help="maximum instrumented/bare overhead ratio "
+                           "(default 3.0)")
+    gate.add_argument("--history", metavar="PATH", default=None,
+                      help="perf-history JSONL: 'perf' appends this run; "
+                           "'report' plots the trend")
+
+    perf = commands.add_parser(
+        "perf", parents=[as_json, gate],
+        help="time the simulator itself, bare and instrumented "
+             "(see docs/performance.md)")
+    perf.set_defaults(run=_perf_main)
+    perf.add_argument("--profile", action="store_true",
+                      help="profile engine dispatch per experiment and "
+                           "print the top hotspots")
+    perf.add_argument("--check", action="store_true",
+                      help="gate this run against --baseline; exit "
+                           "nonzero on regression")
+    perf.add_argument("--events-floor", type=float, default=None,
+                      metavar="N",
+                      help="with --check: absolute floor on the run's "
+                           "overall bare events/s (catches slow erosion "
+                           "the relative gate cannot)")
+    perf.add_argument("--perf-experiments", metavar="NAMES", default=None,
+                      help="comma-separated subset of the perf "
+                           "experiments (tiny CI budgets)")
+    perf.add_argument("--bench-json", metavar="PATH", default=None,
+                      help="write the wall-clock benchmark document to "
+                           "PATH")
+
+    report = commands.add_parser(
+        "report", parents=[gate],
+        help="render the self-contained perf dashboard")
+    report.set_defaults(run=_report_main)
+    report.add_argument("--html", metavar="PATH", required=True,
+                        help="write the self-contained dashboard HTML to "
+                             "PATH")
+    report.add_argument("--perf-json", metavar="PATH", default=None,
+                        help="latest tca-bench-perf/1 document (overhead "
+                             "ratios; gated against --baseline when that "
+                             "file exists)")
+    report.add_argument("--suite-report", metavar="PATH", default=None,
+                        help="tca-bench-suite/1 report JSON (anchor "
+                             "pass/fail)")
+    report.add_argument("--profile-json", metavar="PATH", default=None,
+                        help="profile document from "
+                             "'perf --profile --json' (hotspots)")
+    return parser
+
+
+def command_names(parser: argparse.ArgumentParser) -> List[str]:
+    """Every subcommand of ``parser``, in ``--list`` order."""
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return list(sub.choices)
+
+
+def main(argv=None) -> int:
+    """CLI entry point; usage errors return 2 instead of raising."""
+    parser = build_parser()
+    names = command_names(parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and not argv[0].startswith("-") and argv[0] not in names:
+        print(f"unknown experiment {argv[0]!r}; use --list",
+              file=sys.stderr)
+        return 2
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage error (2) or --help (0)
+        return exc.code
+
+    if args.list or args.command is None:
+        print("available experiments:")
+        for name in names:
+            print(f"  {name}")
+        return 0
+
+    if getattr(args, "engine_workers", None) is not None:
+        from repro.sim.executor import set_default_workers
+
+        try:
+            set_default_workers(args.engine_workers)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    return args.run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -354,7 +354,7 @@ def collectives(block_sizes: Sequence[int] = (1 * KiB, 4 * KiB, 64 * KiB),
     """
     import numpy as np
 
-    from repro.apps.allgather import ring_allgather
+    from repro.collectives import ring_allgather
     from repro.baselines.collectives import ring_allgather_mpi, run_all
     from repro.baselines.fabric import IBGroup
 

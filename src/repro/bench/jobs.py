@@ -28,10 +28,6 @@ APEnet+ line of work treats as the norm at cluster scale:
   (schema ``tca-bench-journal/1``), one fsync per record, with a reader
   that tolerates a torn final line.  ``tca-bench suite --resume RUN``
   replays it to re-execute only unfinished entries.
-* :class:`JobService` — the in-process, fault-hardened front-end the
-  serving layer sits on: submissions deduplicated by content key, hot
-  keys answered from the hardened cache, cold ones queued for
-  supervised execution.
 
 Determinism is preserved by construction: a job's payload depends only
 on ``(entry, mode, seed)`` — per-entry seeds are derived, never shared —
@@ -236,10 +232,9 @@ class Journal:
     therefore tear at most the final line, and :meth:`read` skips any
     line that does not parse.
 
-    :meth:`record` is thread-safe: the serving layer appends submit
-    records from its event-loop thread while the executor thread
-    journals job transitions, and interleaving two half-written lines
-    would tear *both* records, not just the crash-prone final one.
+    :meth:`record` is thread-safe: interleaving two half-written lines
+    from concurrent appenders would tear *both* records, not just the
+    crash-prone final one.
     """
 
     def __init__(self, path: Path, fh=None):
@@ -886,10 +881,9 @@ def run_job_inline(job: Job,
                    sleep: Callable[[float], None] = time.sleep) -> Job:
     """Single-process execution of one job with the same retry contract.
 
-    Used by the one-shard suite path and the :class:`JobService` when no
-    worker pool is wanted.  Deadlines cannot be enforced without a
-    supervisor process, so only the exception-retry half of the state
-    machine applies here.
+    Used by the one-shard suite path, where no worker pool is wanted.
+    Deadlines cannot be enforced without a supervisor process, so only
+    the exception-retry half of the state machine applies here.
     """
     def emit(t: str, **info: Any) -> None:
         if journal is not None:
@@ -930,180 +924,3 @@ def run_job_inline(job: Job,
              requeues=job.requeues, worker=None, payload_json=payload,
              wall_s=round(wall, 4))
     return job
-
-
-# -- the in-process job service front-end ---------------------------------------------
-
-class JobService:
-    """Fault-hardened, deduplicating front-end over the suite machinery.
-
-    The substrate the serving layer (ROADMAP item 3) sits on: callers
-    :meth:`submit` experiment jobs and get back a **content key** — the
-    same key the result cache uses — so identical submissions collapse
-    onto one job and a key whose result is already cached is DONE
-    immediately, served from the hardened store in microseconds.  Cold
-    keys queue until :meth:`run_pending` drives them through the
-    supervised scheduler (or the inline runner for ``workers=1``).
-
-    Every failure mode below the service — worker death, deadline
-    overrun, corrupt cache entry — is absorbed by the layers this
-    module provides; a submitted job can end only DONE or FAILED, never
-    take the service down.
-
-    **Thread safety.**  The bookkeeping methods — :meth:`submit`,
-    :meth:`status`, :meth:`result`, :meth:`result_text`, :meth:`jobs`,
-    :meth:`counts` — are safe to call from any thread: an internal lock
-    serializes mutations of the job table, so the HTTP serving layer
-    (:mod:`repro.serve`) can submit from its event-loop thread while an
-    executor thread drives :meth:`run_pending` (or runs individual jobs
-    via :func:`run_job_inline`).  A job's *state* may still advance
-    between a ``status`` call and the next — snapshots are consistent,
-    not frozen.  :meth:`run_pending` itself holds the lock only while
-    selecting pending jobs and writing back results, never while an
-    experiment runs.
-    """
-
-    def __init__(self, cache=None, workers: int = 1, seed: int = 0,
-                 journal: Optional[Journal] = None,
-                 max_attempts: int = DEFAULT_MAX_ATTEMPTS):
-        from repro.bench.cache import sources_fingerprint
-        from repro.model.anchors import calibration_fingerprint
-
-        self.cache = cache
-        self.workers = max(1, workers)
-        self.seed = seed
-        self.journal = journal
-        self.max_attempts = max_attempts
-        self._calib_fp = calibration_fingerprint()
-        self._sources_fp = sources_fingerprint()
-        self._jobs: Dict[str, Job] = {}
-        self._order: List[str] = []
-        self._lock = threading.RLock()
-
-    # -- submission ------------------------------------------------------
-
-    def submit(self, entry: str, mode: str = "full",
-               seed: Optional[int] = None) -> str:
-        """Queue one experiment; returns its job id (the content key).
-
-        Safe to call from any thread; identical submissions from racing
-        threads collapse onto one job.
-        """
-        from repro.bench.cache import cache_key
-        from repro.bench.experiments import REGISTRY
-
-        if entry not in REGISTRY:
-            raise ConfigError(f"unknown registry entry {entry!r}")
-        spec = REGISTRY[entry]
-        seed = self.seed if seed is None else seed
-        key = cache_key(entry, spec.params_for(mode), self._calib_fp,
-                        self._sources_fp, seed)
-        with self._lock:
-            if key in self._jobs:
-                return key  # deduplicated: same submission, same job
-            job = Job(name=entry, eid=spec.eid, key=key, mode=mode,
-                      seed=seed, cost_s=spec.cost_s,
-                      deadline_s=default_deadline_s(spec.cost_s),
-                      max_attempts=self.max_attempts)
-            if self.cache is not None:
-                hit = self.cache.get(key)
-                if hit is not None:
-                    job.payload_json = hit
-                    job.transition(DONE)
-            self._jobs[key] = job
-            self._order.append(key)
-        if self.journal is not None:
-            self.journal.record("submit", name=entry, key=key, mode=mode,
-                                seed=seed, state=job.state)
-        return key
-
-    # -- lookup ----------------------------------------------------------
-
-    def _job(self, job_id: str) -> Job:
-        with self._lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise ConfigError(f"unknown job id {job_id!r}")
-        return job
-
-    def get_job(self, job_id: str) -> Job:
-        """The live :class:`Job` for one id (the serving layer's view)."""
-        return self._job(job_id)
-
-    def __contains__(self, job_id: str) -> bool:
-        with self._lock:
-            return job_id in self._jobs
-
-    def status(self, job_id: str) -> Dict[str, Any]:
-        """The job's current state-machine snapshot."""
-        return self._job(job_id).to_dict()
-
-    def result(self, job_id: str) -> Any:
-        """The decoded payload of a DONE job; errors otherwise."""
-        return json.loads(self.result_text(job_id))
-
-    def result_text(self, job_id: str) -> str:
-        """The *canonical payload text* of a DONE job, verbatim.
-
-        This is the byte-identity contract the serving layer depends
-        on: the text returned here is exactly what the suite/cache
-        stored, so two clients asking for the same fingerprint receive
-        byte-identical documents.
-        """
-        job = self._job(job_id)
-        if job.state != DONE:
-            raise ConfigError(
-                f"job {job_id[:12]} is {job.state}, not done"
-                + (f" ({job.error})" if job.error else ""))
-        return job.payload_json
-
-    def jobs(self) -> List[Dict[str, Any]]:
-        """Every known job, in submission order."""
-        with self._lock:
-            return [self._jobs[k].to_dict() for k in self._order]
-
-    def counts(self) -> Dict[str, int]:
-        """How many known jobs sit in each state right now."""
-        counts: Dict[str, int] = {state: 0 for state in JOB_STATES}
-        with self._lock:
-            for key in self._order:
-                counts[self._jobs[key].state] += 1
-        return counts
-
-    # -- execution -------------------------------------------------------
-
-    def store_result(self, job: Job) -> None:
-        """Write one DONE job's payload back to the result cache."""
-        if self.cache is not None and job.state == DONE:
-            with self._lock:
-                self.cache.put(job.key, job.name, job.payload_json,
-                               meta={"mode": job.mode, "seed": job.seed})
-
-    def run_pending(self, on_event: Optional[Callable] = None
-                    ) -> Dict[str, int]:
-        """Execute every queued job; returns state counts when done."""
-        with self._lock:
-            pending = [self._jobs[k] for k in self._order
-                       if self._jobs[k].state == PENDING]
-        if pending:
-            runner = _registry_runner
-            if self.workers > 1:
-                scheduler = JobScheduler(pending, runner,
-                                         workers=self.workers,
-                                         journal=self.journal,
-                                         on_event=on_event)
-                scheduler.run()
-            else:
-                for job in pending:
-                    run_job_inline(job, runner, journal=self.journal,
-                                   on_event=on_event)
-            for job in pending:
-                self.store_result(job)
-        return self.counts()
-
-
-def _registry_runner(name: str, mode: str, seed: int) -> Tuple[str, float]:
-    """Module-level (hence spawn-picklable) bridge to the suite runner."""
-    from repro.bench.suite import run_entry
-
-    return run_entry(name, mode, seed)

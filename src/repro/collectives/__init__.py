@@ -18,10 +18,11 @@ that claim made executable:
   :func:`ring_barrier`, :func:`ring_allgather`) that build a context,
   run one self-checking collective, and return the verified buffers.
 
-``repro.apps.allgather`` is a thin wrapper over this layer; the E20/E21
-experiments (``tca-bench collective-allreduce`` /
-``collective-dual-ring``) race it against the MPI baselines in
-:mod:`repro.baselines.collectives`.  See ``docs/collectives.md``.
+The E18 experiment (``tca-bench collectives``) runs
+:func:`ring_allgather`, and the E20/E21 experiments (``tca-bench
+collective-allreduce`` / ``collective-dual-ring``) run this layer; each
+races it against the MPI baselines in :mod:`repro.baselines.collectives`.
+See ``docs/collectives.md``.
 """
 
 from repro.collectives.channels import ChannelScheduler

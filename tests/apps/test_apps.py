@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.allgather import ring_allgather
+from repro.collectives import ring_allgather
 from repro.apps.halo import HaloExchange2D
 from repro.apps.pingpong import pingpong_rtt_ns
 from repro.errors import ConfigError

@@ -32,7 +32,7 @@ def test_remote_measurement_reproducible():
 def test_full_cluster_event_count_reproducible():
     """Even the engine's event count matches between identical runs."""
     def run():
-        from repro.apps.allgather import ring_allgather
+        from repro.collectives import ring_allgather
 
         cluster = TCASubCluster(3, node_params=NodeParams(num_gpus=1))
         ring_allgather(cluster, block_bytes=1024)

@@ -50,6 +50,17 @@ def test_trace_and_metrics_files(tmp_path, capsys):
     assert "trace:" in err and "metrics ->" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["theory", "--shards", "2"],      # suite option on an experiment
+    ["suite", "--smoke", "--tiny"],   # mutually exclusive modes
+    ["report"],                       # --html is required
+    ["fig7", "--html", "x"],          # report option on an experiment
+])
+def test_options_are_scoped_per_command(argv, capsys):
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unwritable_trace_path_exits_1(capsys):
     assert main(["theory", "--trace", "/nonexistent-dir/x.json"]) == 1
     assert "cannot write" in capsys.readouterr().err
