@@ -152,9 +152,7 @@ class GPUStencil:
 
         procs = [engine.process(worker(r), name=f"gpuj{r}")
                  for r in range(n)]
-        while not all(p.done for p in procs):
-            if not engine.step():
-                raise ConfigError("GPU stencil deadlocked")
+        engine.run_all(procs)
         return GPUStencilStats(iterations, (engine.now_ps - start) / 1e3,
                                exchange_ps[0] / 1e3, kernel_ps[0] / 1e3)
 
@@ -300,7 +298,5 @@ class DualGPUStencil:
         procs = [engine.process(self._worker(r, iterations),
                                 name=f"dual{r}")
                  for r in range(self.cluster.num_nodes)]
-        while not all(p.done for p in procs):
-            if not engine.step():
-                raise ConfigError("dual-GPU stencil deadlocked")
+        engine.run_all(procs)
         return (engine.now_ps - start) / 1e6

@@ -150,9 +150,7 @@ class HaloExchange2D:
 
         procs = [engine.process(worker(rank), name=f"jacobi{rank}")
                  for rank in range(n)]
-        while not all(p.done for p in procs):
-            if not engine.step():
-                raise ConfigError("halo exchange deadlocked")
+        engine.run_all(procs)
         self._iter += iterations
         total_ps = engine.now_ps - start
         return HaloStats(iterations, total_ps / 1000.0,

@@ -157,11 +157,3 @@ def barrier_mpi(world: MPIWorld, scratch: List[int]):
             yield recv
 
     return [engine.process(worker(r), name=f"mpi-bar{r}") for r in range(n)]
-
-
-def run_all(engine: Engine, procs) -> int:
-    """Drive the engine until every collective process finished."""
-    while not all(p.done for p in procs):
-        if not engine.step():
-            raise ConfigError("collective deadlocked")
-    return engine.now_ps

@@ -165,11 +165,9 @@ class NTBPair:
         self.node_a.cpu.store_u32(target, payload)
 
         def until_visible():
-            while True:
-                word = dram_b.cpu_read(dst_offset, 4)
-                if int.from_bytes(word.tobytes(), "little") == payload:
-                    return self.engine.now_ps
+            while dram_b.cpu_read_u32(dst_offset) != payload:
                 yield 100
+            return self.engine.now_ps
 
         end = self.engine.run_process(until_visible(), name="ntb-observe")
         return (end - start) / 1000.0

@@ -279,11 +279,9 @@ def ablation_ring(ring_sizes: Iterable[int] = (2, 4, 8, 16)) -> SweepTable:
         cluster.node(0).cpu.store_u32(target, 0xBEEF0001)
 
         def observe(dram=dram, addr=drv.dma_buffer(offset)):
-            while True:
-                word = dram.cpu_read(addr, 4)
-                if int.from_bytes(word.tobytes(), "little") == 0xBEEF0001:
-                    return engine.now_ps
+            while dram.cpu_read_u32(addr) != 0xBEEF0001:
                 yield 100
+            return engine.now_ps
 
         end = engine.run_process(observe(), name="observe")
         table.add("one-way latency", n, (end - start) / 1000.0)
@@ -355,7 +353,7 @@ def collectives(block_sizes: Sequence[int] = (1 * KiB, 4 * KiB, 64 * KiB),
     import numpy as np
 
     from repro.collectives import ring_allgather
-    from repro.baselines.collectives import ring_allgather_mpi, run_all
+    from repro.baselines.collectives import ring_allgather_mpi
     from repro.baselines.fabric import IBGroup
 
     table = SweepTable(
@@ -374,8 +372,8 @@ def collectives(block_sizes: Sequence[int] = (1 * KiB, 4 * KiB, 64 * KiB),
             group.nodes[r].dram.cpu_write(group.buffers[r] + r * block,
                                           data)
         start = group.engine.now_ps
-        run_all(group.engine,
-                ring_allgather_mpi(group.world, group.buffers, block))
+        group.engine.run_all(
+            ring_allgather_mpi(group.world, group.buffers, block))
         table.add("mpi-ib", block, (group.engine.now_ps - start) / 1e6)
     return table
 
@@ -420,9 +418,7 @@ def contention(ring_sizes: Sequence[int] = (4, 8, 16),
 
             procs = [engine.process(flow(src), name=f"flow{src}")
                      for src in range(n)]
-            while not all(p.done for p in procs):
-                if not engine.step():
-                    raise ConfigError("contention run deadlocked")
+            engine.run_all(procs)
             worst = max(p.result for p in procs)
             table.add(f"{n}-node ring", hops,
                       bw_gbytes_per_s(nbytes, worst))
@@ -449,7 +445,7 @@ def collective_allreduce(sizes: Sequence[int] = (1 * KiB, 4 * KiB,
     """
     import numpy as np
 
-    from repro.baselines.collectives import ring_allreduce_mpi, run_all
+    from repro.baselines.collectives import ring_allreduce_mpi
     from repro.baselines.fabric import IBGroup
     from repro.collectives import TCACollectives
 
@@ -472,8 +468,8 @@ def collective_allreduce(sizes: Sequence[int] = (1 * KiB, 4 * KiB,
             group.nodes[r].dram.cpu_write(group.buffers[r],
                                           vectors[r].view(np.uint8))
         start = group.engine.now_ps
-        run_all(group.engine,
-                ring_allreduce_mpi(group.world, group.buffers, nbytes))
+        group.engine.run_all(
+            ring_allreduce_mpi(group.world, group.buffers, nbytes))
         table.add("mpi-ib", nbytes, (group.engine.now_ps - start) / 1e6)
     return table
 
@@ -628,9 +624,7 @@ def bisection(node_counts: Sequence[int] = (16, 64),
 
             procs = [engine.process(flow(src), name=f"bisect{src}")
                      for src in range(n)]
-            while not all(p.done for p in procs):
-                if not engine.step():
-                    raise ConfigError("bisection run deadlocked")
+            engine.run_all(procs)
             worst = max(p.result for p in procs)
             table.add(label, n, n * bw_gbytes_per_s(nbytes, worst))
     return table

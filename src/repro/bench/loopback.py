@@ -109,11 +109,9 @@ class LoopbackRig:
         self.node.cpu.store_u32(target, flag_value)
 
         def until_visible():
-            while True:
-                word = dram.cpu_read(address, 4)
-                if int.from_bytes(word.tobytes(), "little") == flag_value:
-                    return self.engine.now_ps
+            while dram.cpu_read_u32(address) != flag_value:
                 yield 100  # 0.1 ns resolution: effectively pure path latency
+            return self.engine.now_ps
 
         end = self.engine.run_process(until_visible(), name="observe")
         return (end - start) / 1000.0

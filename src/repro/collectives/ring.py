@@ -188,12 +188,10 @@ class TCACollectives:
         driver.fill_dma_buffer(accum_offset, (acc + inc).view(np.uint8))
 
     def _run(self, workers: Dict[int, object], name: str) -> None:
-        """Spawn one process per node and step the engine to completion."""
+        """Spawn one process per node and run the engine until all finish."""
         procs = [self.engine.process(gen, name=f"{name}{node}")
                  for node, gen in sorted(workers.items())]
-        while not all(p.done for p in procs):
-            if not self.engine.step():
-                raise ConfigError(f"{name} deadlocked")
+        self.engine.run_all(procs)
 
     def _flat_ring(self) -> List[int]:
         """Node ids in logical ring order for whole-cluster collectives.

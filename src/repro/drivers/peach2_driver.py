@@ -355,8 +355,6 @@ class PEACH2Driver:
         load loop interval.
         """
         address = self.dma_buffer(offset)
-        while True:
-            word = self.node.dram.cpu_read(address, 4)
-            if int.from_bytes(word.tobytes(), "little") == expect:
-                return self.node.cpu.read_tsc()
+        while self.node.dram.cpu_read_u32(address) != expect:
             yield self.calib.driver_poll_interval_ps
+        return self.node.cpu.read_tsc()

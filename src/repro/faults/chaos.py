@@ -144,9 +144,9 @@ def run_chaos(plan: FaultPlan, num_nodes: int = 6,
         lost echo store cannot wedge the initiator."""
         last_stored = 0
         polls = 0
+        dram, address = drv_b.node.dram, drv_b.dma_buffer(slot_b)
         while not stop[0]:
-            word = drv_b.read_dma_buffer(slot_b, 4)
-            seen = int.from_bytes(word.tobytes(), "little")
+            seen = dram.cpu_read_u32(address)
             polls += 1
             if seen and (seen != last_stored or polls % 8 == 0):
                 cluster.node(node_b).cpu.store_u32(addr_at_a, seen)
@@ -155,9 +155,9 @@ def run_chaos(plan: FaultPlan, num_nodes: int = 6,
 
     def await_value(driver, slot, expect, deadline_ps):
         """Bounded poll; returns True when the value showed up in time."""
+        dram, address = driver.node.dram, driver.dma_buffer(slot)
         while engine.now_ps < deadline_ps:
-            word = driver.read_dma_buffer(slot, 4)
-            if int.from_bytes(word.tobytes(), "little") == expect:
+            if dram.cpu_read_u32(address) == expect:
                 return True
             yield poll_ps
         return False

@@ -74,6 +74,24 @@ class BackingStore:
             pos += take
         return out
 
+    def read_u32(self, offset: int) -> int:
+        """Read the little-endian 32-bit word at ``offset``.
+
+        Equal to ``int.from_bytes(read(offset, 4).tobytes(), "little")``
+        (bounds-checked the same way, 0 on a page never written) without
+        building a zero-filled array per call: this is the flag-poll
+        load, issued once per poll interval by every waiting receiver.
+        """
+        self._check(offset, 4)
+        page_no, page_off = divmod(offset, PAGE_SIZE)
+        if page_off > PAGE_SIZE - 4:
+            # The word straddles a page boundary.
+            return int.from_bytes(self.read(offset, 4).tobytes(), "little")
+        page = self._pages.get(page_no)
+        if page is None:
+            return 0
+        return int.from_bytes(page[page_off:page_off + 4].tobytes(), "little")
+
 
 @dataclass(frozen=True)
 class MemoryParams:
@@ -152,6 +170,10 @@ class HostMemory(Device):
     def cpu_read(self, address: int, nbytes: int) -> np.ndarray:
         """Local CPU load (used by polling driver code)."""
         return self.store.read(self.region.offset_of(address), nbytes)
+
+    def cpu_read_u32(self, address: int) -> int:
+        """Local CPU load of one little-endian 32-bit word (a flag poll)."""
+        return self.store.read_u32(self.region.offset_of(address))
 
     def cpu_write(self, address: int, data: np.ndarray) -> None:
         """Local CPU store directly into DRAM (driver buffer setup)."""

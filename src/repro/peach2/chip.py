@@ -247,9 +247,10 @@ class PEACH2Chip(Device):
                 injection: bool = False):
         self.tlps_routed += 1
         self.firmware.note_routed(out)
-        self.engine.trace(self.name, "route", tlp=tlp.kind.value,
-                          addr=hex(tlp.address), out=out.name,
-                          translated=translated is not None)
+        if self.engine.tracer is not None:
+            self.engine.trace(self.name, "route", tlp=tlp.kind.value,
+                              addr=hex(tlp.address), out=out.name,
+                              translated=translated is not None)
         if self.engine.metrics is not None:
             self.engine.metrics.counter(f"peach2.{self.name}.routed").inc()
         if translated is not None:

@@ -30,7 +30,7 @@ experiment byte-for-byte):
   the *now bucket* for :meth:`Engine.call_soon` (the dominant scheduling
   call — every signal fire lands there and never needs heap ordering), the
   heap only for future timers, fused dispatch loops in
-  :meth:`Engine.run` / :meth:`Engine.run_process`, and a batch-advance
+  :meth:`Engine.run` / :meth:`Engine.run_all`, and a batch-advance
   trampoline in :class:`Process` that keeps a resumed coroutine on the
   stack whenever its wakeup is provably the next event.
 
@@ -46,7 +46,7 @@ import os
 from collections import deque
 from contextlib import contextmanager
 from typing import (Any, Callable, Deque, Generator, Iterable, Iterator, List,
-                    Optional, Set, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 from repro.errors import SimulationError
 from repro.units import PS_PER_NS
@@ -713,12 +713,27 @@ class Engine:
                 self._batch_inhibit = False
                 self._refresh_batch()
 
-    def run_process(self, generator: ProcessGen, name: str = "") -> Any:
-        """Start a process and run the engine until it completes.
+    def run_all(self, procs: Sequence[Process]) -> int:
+        """Run the engine until every process in ``procs`` is done.
 
-        This is the main entry point for "measure one transfer" experiments.
+        Returns the simulated time (ps) when the loop stopped.  This is
+        the one run-to-completion loop: :meth:`run_process` and every
+        multi-process driver (ring collectives, contention, halo, ...)
+        go through it.
+
+        The loop stops on exactly the event after which the last of
+        ``procs`` finished — the same stop point as polling
+        ``all(p.done for p in procs)`` after every :meth:`step` — because
+        ``done`` never reverts: once the loop has moved past a process it
+        stays finished, so checking only the current one is enough and
+        the scan costs O(1) amortised per event instead of O(N).  Later
+        events stay queued for the caller.  No joiner process or
+        :func:`all_of` signal is involved, so the run consumes no extra
+        sequence numbers and counts no extra events.
+
+        Raises :class:`SimulationError` naming every unfinished process
+        if the queues drain first.
         """
-        proc = self.process(generator, name)
         if self._profiler is None:
             # Fused dispatch loop; see run() for the rationale.
             ready = self._ready
@@ -726,29 +741,47 @@ class Engine:
             cancelled = self._cancelled
             pop_ready = ready.popleft
             heappop = heapq.heappop
-            while not proc.done:
-                if ready and (not heap or heap[0][0] > self._now_ps
-                              or heap[0][1] > ready[0][0]):
-                    seq, callback, args = pop_ready()
-                    time_ps = self._now_ps
-                elif heap:
-                    time_ps, seq, callback, args = heappop(heap)
-                else:
-                    raise SimulationError(
-                        f"deadlock: process {proc.name!r} is still waiting "
-                        "but no events remain")
-                if cancelled and seq in cancelled:
-                    cancelled.discard(seq)
-                    continue
-                self._now_ps = time_ps
-                self.events_processed += 1
-                callback(*args)
+            for proc in procs:
+                while not proc.done:
+                    if ready and (not heap or heap[0][0] > self._now_ps
+                                  or heap[0][1] > ready[0][0]):
+                        seq, callback, args = pop_ready()
+                        time_ps = self._now_ps
+                    elif heap:
+                        time_ps, seq, callback, args = heappop(heap)
+                    else:
+                        cancelled.clear()
+                        raise self._deadlock(procs)
+                    if cancelled and seq in cancelled:
+                        cancelled.discard(seq)
+                        continue
+                    self._now_ps = time_ps
+                    self.events_processed += 1
+                    callback(*args)
         else:
-            while not proc.done:
-                if not self.step():
-                    raise SimulationError(
-                        f"deadlock: process {proc.name!r} is still waiting "
-                        "but no events remain")
+            for proc in procs:
+                while not proc.done:
+                    if not self.step():
+                        raise self._deadlock(procs)
+        return self._now_ps
+
+    @staticmethod
+    def _deadlock(procs: Sequence[Process]) -> SimulationError:
+        waiting = [p.name for p in procs if not p.done]
+        names = ", ".join(repr(name) for name in waiting)
+        if len(waiting) == 1:
+            return SimulationError(f"deadlock: process {names} is still "
+                                   "waiting but no events remain")
+        return SimulationError(f"deadlock: processes {names} are still "
+                               "waiting but no events remain")
+
+    def run_process(self, generator: ProcessGen, name: str = "") -> Any:
+        """Start a process and run the engine until it completes.
+
+        This is the main entry point for "measure one transfer" experiments.
+        """
+        proc = self.process(generator, name)
+        self.run_all((proc,))
         if proc.error is not None:
             raise proc.error
         return proc.result

@@ -192,11 +192,7 @@ class HybridComm:
                 src_cluster.node(src_local).cpu.store_u32(
                     flag_global, flag_value)
                 dst_dram = dst_cluster.node(dst_local).dram
-                while True:
-                    word = dst_dram.cpu_read(flag_bus, 4)
-                    if int.from_bytes(word.tobytes(),
-                                      "little") == flag_value:
-                        break
+                while dst_dram.cpu_read_u32(flag_bus) != flag_value:
                     yield 20_000  # driver poll cadence
                 return "tca"
             yield self.engine.process(

@@ -75,10 +75,13 @@ class FlagPool:
     def wait(self, node_id: int, flag: int, sequence: int):
         """Process: poll the local flag until it reaches ``sequence``."""
         driver = self.cluster.driver(node_id)
-        offset = self._offset(node_id, flag)
+        dram = driver.node.dram
+        # Resolve the flag word's store offset once; each poll is then
+        # one integer load.
+        store = dram.store
+        offset = dram.region.offset_of(
+            driver.dma_buffer(self._offset(node_id, flag)))
         poll = self.cluster.node(node_id).params.calib.driver_poll_interval_ps
-        while True:
-            word = driver.read_dma_buffer(offset, 4)
-            if int.from_bytes(word.tobytes(), "little") >= sequence:
-                return self.cluster.node(node_id).cpu.read_tsc()
+        while store.read_u32(offset) < sequence:
             yield poll
+        return self.cluster.node(node_id).cpu.read_tsc()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.collectives import (barrier_mpi, broadcast_mpi,
-                                         ring_allgather_mpi, run_all)
+                                         ring_allgather_mpi)
 from repro.baselines.fabric import IBGroup
 from repro.errors import ConfigError
 from repro.hw.node import NodeParams
@@ -73,7 +73,7 @@ class TestCollectives:
         for r in range(n):
             g.nodes[r].dram.cpu_write(g.buffers[r] + r * block, blocks[r])
         procs = ring_allgather_mpi(g.world, g.buffers, block)
-        run_all(g.engine, procs)
+        g.engine.run_all(procs)
         g.engine.run()
         expect = np.concatenate(blocks)
         for r in range(n):
@@ -87,7 +87,7 @@ class TestCollectives:
                                                     dtype=np.uint8)
         g.nodes[root].dram.cpu_write(g.buffers[root], payload)
         procs = broadcast_mpi(g.world, g.buffers, 2048, root=root)
-        run_all(g.engine, procs)
+        g.engine.run_all(procs)
         g.engine.run()
         for r in range(n):
             got = g.nodes[r].dram.cpu_read(g.buffers[r], 2048)
@@ -97,7 +97,7 @@ class TestCollectives:
     def test_barrier_completes(self, n):
         g = group(n)
         procs = barrier_mpi(g.world, g.buffers)
-        elapsed = run_all(g.engine, procs)
+        elapsed = g.engine.run_all(procs)
         assert elapsed > 0
 
     def test_allgather_buffer_count_validated(self):

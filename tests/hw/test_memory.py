@@ -53,6 +53,57 @@ class TestBackingStore:
         assert store.read(8, 16).tolist() == [2] * 16
 
 
+def as_u32(store, offset):
+    return int.from_bytes(store.read(offset, 4).tobytes(), "little")
+
+
+class TestReadU32:
+    """The flag-poll word load equals the generic four-byte read."""
+
+    def test_unwritten_page_reads_zero(self):
+        store = BackingStore(1 << 20, "s")
+        store.write(0, np.full(8, 0xFF, dtype=np.uint8))
+        assert store.read_u32(5 * PAGE_SIZE + 12) == 0
+        assert store.resident_bytes == PAGE_SIZE
+
+    def test_little_endian_word(self):
+        store = BackingStore(1 << 20, "s")
+        store.write(100, np.array([0x01, 0x00, 0xEF, 0xBE], dtype=np.uint8))
+        assert store.read_u32(100) == 0xBEEF0001
+
+    @pytest.mark.parametrize("offset", [PAGE_SIZE - 3, PAGE_SIZE - 2,
+                                        PAGE_SIZE - 1, PAGE_SIZE - 4])
+    def test_page_straddling_word(self, offset):
+        store = BackingStore(1 << 20, "s")
+        store.write(offset, np.array([0x11, 0x22, 0x33, 0x44],
+                                     dtype=np.uint8))
+        assert store.read_u32(offset) == 0x44332211
+
+    def test_straddle_into_unwritten_page(self):
+        store = BackingStore(1 << 20, "s")
+        store.write(PAGE_SIZE - 2, np.array([0xAA, 0xBB], dtype=np.uint8))
+        assert store.read_u32(PAGE_SIZE - 2) == 0xBBAA
+        store = BackingStore(1 << 20, "s")
+        store.write(PAGE_SIZE, np.array([0xCC, 0xDD], dtype=np.uint8))
+        assert store.read_u32(PAGE_SIZE - 2) == 0xDDCC0000
+
+    @pytest.mark.parametrize("offset", [-1, 997, 1000, 1 << 30])
+    def test_out_of_range_rejected(self, offset):
+        store = BackingStore(1000, "s")
+        with pytest.raises(AddressError):
+            store.read_u32(offset)
+
+    def test_equals_generic_read_everywhere(self):
+        store = BackingStore(3 * PAGE_SIZE, "s")
+        rng = np.random.default_rng(7)
+        store.write(PAGE_SIZE - 300, rng.integers(0, 256, 600,
+                                                  dtype=np.uint8))
+        store.write(2 * PAGE_SIZE + 50, rng.integers(0, 256, 20,
+                                                     dtype=np.uint8))
+        for offset in range(0, 3 * PAGE_SIZE - 3):
+            assert store.read_u32(offset) == as_u32(store, offset), offset
+
+
 def build_memory(engine, params=None):
     mem = HostMemory(engine, "dram", 1 << 24, params or MemoryParams())
     req = RequesterDevice(engine, "req", role=PortRole.INTERNAL)
@@ -136,3 +187,15 @@ class TestHostMemory:
         mem, _ = build_memory(engine)
         with pytest.raises(AddressError):
             mem.cpu_read(1 << 25, 4)
+
+    def test_cpu_read_u32_matches_cpu_read(self, engine):
+        mem, _ = build_memory(engine)
+        mem.region = type(mem.region)(0x10_0000, mem.store.size, "dram")
+        mem.cpu_write(0x10_0040, np.array([4, 3, 2, 1], dtype=np.uint8))
+        word = mem.cpu_read(0x10_0040, 4)
+        assert mem.cpu_read_u32(0x10_0040) == 0x01020304 == \
+            int.from_bytes(word.tobytes(), "little")
+        with pytest.raises(AddressError):
+            mem.cpu_read_u32(0x0F_FFFF)
+        with pytest.raises(AddressError):
+            mem.cpu_read_u32(0x10_0000 + mem.store.size - 2)

@@ -6,13 +6,19 @@ Each test here pins a specific historical bug:
   bound when the heap drained early;
 * winner-takes-all races (``first_of``) leaked the loser's scheduled
   event, padding drain-mode runs to the stale timer's full expiry;
-* cancelled events advanced the clock and the processed-events counter.
+* cancelled events advanced the clock and the processed-events counter;
+* multi-process drivers polled ``all(p.done for p in procs)`` after
+  every ``step()``; :meth:`Engine.run_all` must stop on exactly the same
+  event and name every unfinished process when the queues drain.
 """
+
+import random
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import Engine, Signal, first_of
+from repro.obs.profile import EngineProfiler
+from repro.sim.core import Engine, Signal, dispatch_mode, first_of
 
 
 class TestRunUntilAdvancesOnEarlyDrain:
@@ -261,3 +267,178 @@ class TestCancelRetiredEvent:
         # Every remembered token was stale by the time the queues
         # drained, so the set must be empty again.
         assert not engine._cancelled
+
+
+def _poll_until_done(engine, procs):
+    """The retired driver loop, kept as the oracle for ``run_all``."""
+    while not all(p.done for p in procs):
+        if not engine.step():
+            raise SimulationError("deadlock")
+    return engine.now_ps
+
+
+def _out_of_order_scenario(engine, seed):
+    """Workers that finish out of list order, with traffic left queued.
+
+    Mixes timers, bare-int delays, a signal relay, call_soon work and a
+    cancelled timer; a background process keeps running past the point
+    where the last worker finishes.
+    """
+    rng = random.Random(seed)
+    relay = engine.signal("relay")
+
+    def worker(delays, wait_relay):
+        for delay in delays:
+            yield delay
+        if wait_relay:
+            yield relay
+        return engine.now_ps
+
+    def background():
+        for i in range(200):
+            yield rng.randrange(1, 9)
+            if i == 40:
+                relay.fire(i)
+            if i % 7 == 0:
+                engine.call_soon(lambda: None)
+
+    engine.process(background(), name="background")
+    doomed = engine.after(75, lambda: None)
+    engine.cancel_event(doomed)
+    procs = [engine.process(worker([rng.randrange(0, 60)
+                                    for _ in range(rng.randrange(1, 6))],
+                                   wait_relay=(i == 1)),
+                            name=f"w{i}")
+             for i in range(6)]
+    # Spawn order is not finish order.
+    rng.shuffle(procs)
+    return procs
+
+
+def _state(engine):
+    """Everything the stop point determines: clock, count, queues."""
+    pending = sorted([(time_ps, seq) for time_ps, seq, _, _ in engine._heap]
+                     + [(engine.now_ps, seq) for seq, _, _ in engine._ready])
+    return (engine.now_ps, engine.events_processed, engine._sequence,
+            pending, sorted(engine._cancelled))
+
+
+def _reference_engine():
+    with dispatch_mode("reference"):
+        engine = Engine()
+    assert engine.dispatch == "reference"
+    return engine
+
+
+def _profiled_engine():
+    engine = Engine()
+    profiler = EngineProfiler()
+    profiler.install(engine)
+    profiler.start()
+    return engine
+
+
+ENGINES = pytest.mark.parametrize(
+    "make_engine", [Engine, _reference_engine, _profiled_engine],
+    ids=["fast", "reference", "profiled"])
+
+
+class TestRunAllStopPoint:
+    """run_all(procs) stops exactly where the polling loop stopped."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @ENGINES
+    def test_same_stop_point_as_polling_loop(self, make_engine, seed):
+        polled, fused = make_engine(), make_engine()
+        polled_procs = _out_of_order_scenario(polled, seed)
+        fused_procs = _out_of_order_scenario(fused, seed)
+        stopped = fused.run_all(fused_procs)
+        assert stopped == _poll_until_done(polled, polled_procs)
+        assert _state(fused) == _state(polled)
+        assert [p.result for p in fused_procs] == \
+            [p.result for p in polled_procs]
+        # Traffic is still queued, and it continues identically.
+        assert fused._heap or fused._ready
+        fused.run()
+        polled.run()
+        assert _state(fused) == _state(polled)
+
+    def test_already_done_procs_dispatch_nothing(self, engine):
+        def quick():
+            yield 5
+
+        procs = [engine.process(quick()), engine.process(quick())]
+        engine.run_all(procs)
+        engine.after(100, lambda: None)
+        before = _state(engine)
+        assert engine.run_all(procs) == before[0]
+        assert _state(engine) == before
+
+    def test_empty_procs_dispatch_nothing(self, engine):
+        engine.after(100, lambda: None)
+        engine.call_soon(lambda: None)
+        before = _state(engine)
+        assert engine.run_all([]) == 0
+        assert _state(engine) == before
+
+    def test_run_process_is_run_all_of_one(self):
+        def job(engine):
+            yield 10
+            late = engine.signal("late")
+            late.fire_after(5)
+            yield late
+            return engine.now_ps
+
+        direct, fused = Engine(), Engine()
+        result = direct.run_process(job(direct), name="job")
+        proc = fused.process(job(fused), name="job")
+        fused.run_all((proc,))
+        assert proc.result == result
+        assert _state(fused) == _state(direct)
+
+
+class TestRunAllDeadlock:
+    """A drained queue names every process that is still waiting."""
+
+    @ENGINES
+    def test_error_names_every_waiting_process(self, make_engine):
+        engine = make_engine()
+        never = engine.signal("never")
+
+        def stuck():
+            yield never
+
+        def finishes():
+            yield 10
+
+        procs = [engine.process(stuck(), name="flow0"),
+                 engine.process(finishes(), name="flow1"),
+                 engine.process(stuck(), name="flow3")]
+        with pytest.raises(SimulationError) as info:
+            engine.run_all(procs)
+        message = str(info.value)
+        assert message == ("deadlock: processes 'flow0', 'flow3' are still "
+                           "waiting but no events remain")
+        assert "flow1" not in message
+
+    def test_single_waiting_process_message(self, engine):
+        never = engine.signal("never")
+
+        def stuck():
+            yield never
+
+        procs = [engine.process(stuck(), name="flow3")]
+        with pytest.raises(SimulationError,
+                           match=r"^deadlock: process 'flow3' is still "
+                                 r"waiting but no events remain$"):
+            engine.run_all(procs)
+
+    def test_run_process_deadlock_names_the_process(self, engine):
+        never = engine.signal("never")
+
+        def stuck():
+            yield never
+
+        with pytest.raises(SimulationError,
+                           match="deadlock: process 'observe' is still"):
+            engine.run_process(stuck(), name="observe")
