@@ -164,10 +164,7 @@ class NTBPair:
         start = self.engine.now_ps
         self.node_a.cpu.store_u32(target, payload)
 
-        def until_visible():
-            while dram_b.cpu_read_u32(dst_offset) != payload:
-                yield 100
-            return self.engine.now_ps
-
-        end = self.engine.run_process(until_visible(), name="ntb-observe")
-        return (end - start) / 1000.0
+        self.engine.run_process(
+            dram_b.wait_u32(dst_offset, lambda word: word == payload, 100),
+            name="ntb-observe")
+        return (self.engine.now_ps - start) / 1000.0

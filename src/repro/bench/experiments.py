@@ -278,13 +278,11 @@ def ablation_ring(ring_sizes: Iterable[int] = (2, 4, 8, 16)) -> SweepTable:
         start = engine.now_ps
         cluster.node(0).cpu.store_u32(target, 0xBEEF0001)
 
-        def observe(dram=dram, addr=drv.dma_buffer(offset)):
-            while dram.cpu_read_u32(addr) != 0xBEEF0001:
-                yield 100
-            return engine.now_ps
-
-        end = engine.run_process(observe(), name="observe")
-        table.add("one-way latency", n, (end - start) / 1000.0)
+        engine.run_process(
+            dram.wait_u32(drv.dma_buffer(offset),
+                          lambda word: word == 0xBEEF0001, 100),
+            name="observe")
+        table.add("one-way latency", n, (engine.now_ps - start) / 1000.0)
         table.add("hops", n, hops)
     return table
 

@@ -341,8 +341,8 @@ def new_run_id(mode: str, seed: int) -> str:
 # -- the worker supervisor ------------------------------------------------------------
 
 def _worker_main(wid: int, conn, results, runner, spill_dir: str,
-                 origin_ns: Optional[int],
-                 heartbeat_s: float) -> None:  # pragma: no cover - child
+                 origin_ns: Optional[int], heartbeat_s: float,
+                 supervisor: int) -> None:  # pragma: no cover - child
     """Worker body: pull jobs off the pipe, spill payloads, report back.
 
     Runs in a forked child.  The parent owns interrupt handling, so
@@ -353,6 +353,11 @@ def _worker_main(wid: int, conn, results, runner, spill_dir: str,
     files — and nothing is shared with sibling workers, so dying
     mid-send can tear at most this one channel.  The send lock only
     arbitrates between this process's main and heartbeat threads.
+
+    A supervisor that dies without shutting the pool down (SIGKILL)
+    sends no EOF — sibling workers inherited the other pipe ends — so
+    the heartbeat thread also watches the parent pid and exits the
+    worker once it is no longer ``supervisor``.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -366,6 +371,8 @@ def _worker_main(wid: int, conn, results, runner, spill_dir: str,
 
     def heartbeat() -> None:
         while not stop.wait(heartbeat_s):
+            if os.getppid() != supervisor:
+                os._exit(1)  # orphaned: nobody will collect our results
             try:
                 send(("hb", wid))
             except Exception:
@@ -537,7 +544,8 @@ class JobScheduler:
         proc = self._ctx.Process(
             target=_worker_main,
             args=(wid, recv_conn, res_send, self.runner,
-                  str(self._spill_dir), origin_ns, self.heartbeat_s),
+                  str(self._spill_dir), origin_ns, self.heartbeat_s,
+                  os.getpid()),
             daemon=True)
         proc.start()
         recv_conn.close()  # child's ends; parent keeps send (tasks)

@@ -108,10 +108,8 @@ class LoopbackRig:
         start = self.engine.now_ps
         self.node.cpu.store_u32(target, flag_value)
 
-        def until_visible():
-            while dram.cpu_read_u32(address) != flag_value:
-                yield 100  # 0.1 ns resolution: effectively pure path latency
-            return self.engine.now_ps
-
-        end = self.engine.run_process(until_visible(), name="observe")
-        return (end - start) / 1000.0
+        # 0.1 ns poll resolution: effectively pure path latency.
+        self.engine.run_process(
+            dram.wait_u32(address, lambda word: word == flag_value, 100),
+            name="observe")
+        return (self.engine.now_ps - start) / 1000.0

@@ -122,10 +122,25 @@ class TCACollectives:
         start_ps = self.engine.now_ps
         tsc = yield from self.flags.wait(node, flag, self._expect[key])
         # The flag-wait span is what the critical-path analyzer walks
-        # (repro.obs.critpath); a strict no-op without a tracer.
-        self.engine.trace(f"coll.n{node}", "coll-wait", flag=flag,
-                          dur_ps=self.engine.now_ps - start_ps)
+        # (repro.obs.critpath); a strict no-op without a tracer or
+        # recorder.
+        if self._recording:
+            self._emit(f"coll.n{node}", "coll-wait", flag=flag,
+                       dur_ps=self.engine.now_ps - start_ps)
         return tsc
+
+    @property
+    def _recording(self) -> bool:
+        """True when a ``coll-*`` record has somewhere to go."""
+        engine = self.engine
+        return engine.tracer is not None or engine.recorder is not None
+
+    def _emit(self, component: str, kind: str, **detail) -> None:
+        """Send one ``coll-*`` record to the tracer and the recorder."""
+        engine = self.engine
+        for sink in (engine.tracer, engine.recorder):
+            if sink is not None:
+                sink.emit(engine.now_ps, component, kind, **detail)
 
     def _put(self, src_node: int, src_offset: int, dst_node: int,
              dst_offset: int, nbytes: int):
@@ -174,10 +189,11 @@ class TCACollectives:
             src_node, src_offset, dst_node, dst_offset, nbytes)
         self.flags.signal(src_node, dst_node, flag)
         # One span per flagged put, decomposed for repro.obs.critpath.
-        self.engine.trace(f"coll.n{src_node}", "coll-put", flag=flag,
-                          dst=dst_node, nbytes=nbytes, transport=transport,
-                          wire_ps=wire_ps, queue_ps=queue_ps,
-                          dur_ps=self.engine.now_ps - start_ps)
+        if self._recording:
+            self._emit(f"coll.n{src_node}", "coll-put", flag=flag,
+                       dst=dst_node, nbytes=nbytes, transport=transport,
+                       wire_ps=wire_ps, queue_ps=queue_ps,
+                       dur_ps=self.engine.now_ps - start_ps)
 
     def _reduce_into(self, node: int, accum_offset: int,
                      staging_offset: int, nbytes: int) -> None:

@@ -349,12 +349,13 @@ class PEACH2Driver:
     # -- polling (used by the PIO latency experiment, §IV-B1) ---------------------------
 
     def poll_dma_buffer_u32(self, offset: int, expect: int):
-        """Process: spin-read a DMA-buffer word until it equals ``expect``.
+        """Process: poll a DMA-buffer word until it equals ``expect``.
 
         Returns the TSC at observation.  Poll granularity is the driver's
-        load loop interval.
+        load loop interval (:meth:`HostMemory.wait_u32` keeps that tick
+        without an event per poll).
         """
-        address = self.dma_buffer(offset)
-        while self.node.dram.cpu_read_u32(address) != expect:
-            yield self.calib.driver_poll_interval_ps
+        yield from self.node.dram.wait_u32(
+            self.dma_buffer(offset), lambda word: word == expect,
+            self.calib.driver_poll_interval_ps)
         return self.node.cpu.read_tsc()

@@ -8,11 +8,11 @@ every simulated transfer still moves real bytes that tests can verify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.errors import AddressError
+from repro.errors import AddressError, ConfigError
 from repro.model.calibration import CALIB
 from repro.pcie.address import Region
 from repro.pcie.device import Device
@@ -33,6 +33,8 @@ class BackingStore:
         self.size = size
         self.name = name
         self._pages: Dict[int, np.ndarray] = {}
+        #: Word offset -> the :class:`WordWatch` objects armed on it.
+        self.watches: Dict[int, List["WordWatch"]] = {}
 
     @property
     def resident_bytes(self) -> int:
@@ -59,6 +61,13 @@ class BackingStore:
                 self._pages[page_no] = page
             page[page_off:page_off + take] = data[pos:pos + take]
             pos += take
+        watches = self.watches
+        if watches:
+            end = offset + len(data)
+            for word, armed in watches.items():
+                if offset - 4 < word < end:
+                    for watch in armed:
+                        watch.notify()
 
     def read(self, offset: int, nbytes: int) -> np.ndarray:
         """Read ``nbytes`` at ``offset`` as a fresh uint8 array."""
@@ -91,6 +100,62 @@ class BackingStore:
         if page is None:
             return 0
         return int.from_bytes(page[page_off:page_off + 4].tobytes(), "little")
+
+
+class WordWatch:
+    """One armed :meth:`HostMemory.wait_u32`: the parked waiter's tick clock.
+
+    :meth:`BackingStore.write` calls :meth:`notify` after every write
+    covering the word.  A write that satisfies ``done`` schedules one
+    check on the first poll tick ``t0 + k * poll_ps`` (k >= 1) at or
+    after it; the check re-reads the word, resumes the waiter if it
+    still holds, and otherwise stays armed for the next write.
+    ``notify`` never mutates the store's watch table, so the store can
+    walk it directly.
+    """
+
+    __slots__ = ("memory", "address", "offset", "done", "poll_ps", "t0",
+                 "signal", "pending")
+
+    def __init__(self, memory: "HostMemory", address: int, offset: int,
+                 done: Callable[[int], bool], poll_ps: int):
+        self.memory = memory
+        self.address = address
+        self.offset = offset
+        self.done = done
+        self.poll_ps = poll_ps
+        engine = memory.engine
+        self.t0 = engine.now_ps
+        self.signal = engine.signal(f"{memory.name}.wait@{address:#x}")
+        self.pending = False
+        memory.store.watches.setdefault(offset, []).append(self)
+        engine.watches[self] = None
+
+    def notify(self) -> None:
+        if self.pending or not self.done(
+                self.memory.store.read_u32(self.offset)):
+            return
+        engine = self.memory.engine
+        poll = self.poll_ps
+        ticks = max(1, -(-(engine.now_ps - self.t0) // poll))
+        self.pending = True
+        engine.at(self.t0 + ticks * poll, self._check)
+
+    def _check(self) -> None:
+        self.pending = False
+        value = self.memory.store.read_u32(self.offset)
+        if not self.done(value):
+            return  # undone by a later write: stay armed
+        armed = self.memory.store.watches[self.offset]
+        armed.remove(self)
+        if not armed:
+            del self.memory.store.watches[self.offset]
+        del self.memory.engine.watches[self]
+        self.signal.fire(value)
+
+    def __str__(self) -> str:
+        value = self.memory.store.read_u32(self.offset)
+        return f"{self.memory.name} @{self.address:#x} = {value:#x}"
 
 
 @dataclass(frozen=True)
@@ -174,6 +239,43 @@ class HostMemory(Device):
     def cpu_read_u32(self, address: int) -> int:
         """Local CPU load of one little-endian 32-bit word (a flag poll)."""
         return self.store.read_u32(self.region.offset_of(address))
+
+    def wait_u32(self, address: int, done: Callable[[int], bool],
+                 poll_ps: int):
+        """Process body: wait until ``done(word)`` holds; returns the word.
+
+        Tick-exact equivalent of the spin loop ::
+
+            while not done(self.cpu_read_u32(address)):
+                yield poll_ps
+
+        started at ``t0``: it resumes on exactly the poll tick
+        ``t0 + k * poll_ps`` (k >= 1) at which that loop would first
+        read a satisfying value, and returns the same value — without an
+        event per poll.  A word already satisfied on entry returns with
+        no event at all, like the loop.  Instead of polling, the waiter
+        parks on a :class:`WordWatch` that every write to the word
+        notifies.
+
+        Tie rule: a write landing exactly on a poll tick is visible to
+        that poll.  That is the loop's order for every fabric write,
+        because a committed TLP write is scheduled ``write_commit_ps``
+        (48.2 ns) before it lands — longer than every poll interval — so
+        its event precedes the poll scheduled one interval earlier.
+
+        A word nobody writes leaves no event queued: the engine drains
+        and :meth:`~repro.sim.core.Engine.run_all` names the armed watch
+        in its deadlock error instead of spinning forever.
+        """
+        if poll_ps <= 0:
+            raise ConfigError(f"{self.name}: poll interval must be "
+                              f"positive, got {poll_ps}")
+        offset = self.region.offset_of(address)
+        value = self.store.read_u32(offset)
+        if done(value):
+            return value
+        watch = WordWatch(self, address, offset, done, poll_ps)
+        return (yield watch.signal)
 
     def cpu_write(self, address: int, data: np.ndarray) -> None:
         """Local CPU store directly into DRAM (driver buffer setup)."""

@@ -16,15 +16,18 @@ allreduce must show N-1 steps against the flat ring's 2(N-1)
 (anchor ``dual-ring-critpath-steps``).
 
 Use :func:`trace_collective` to run a collective under a private
-recorder; it forwards to any tracer already installed, so it composes
-with ``--trace-out`` / :class:`~repro.obs.session.Observability`.
+recorder.  The recorder is not a tracer: only the two ``coll-*`` emit
+sites feed it, they still forward to any tracer already installed, and
+the hardware models never build a record for it — so it composes with
+``--trace-out`` / :class:`~repro.obs.session.Observability` and costs
+nothing per TLP in a bare run.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.collectives.ring import (FLAG_AG, FLAG_BARRIER, FLAG_BCAST,
                                     FLAG_RS, FLAG_X)
@@ -206,30 +209,26 @@ def analyze(records: List[TraceRecord]) -> CritPathReport:
 
 
 class CollectiveRecorder(Tracer):
-    """A tracer that keeps only ``coll-*`` records, forwarding
-    everything to any tracer that was already installed."""
+    """An unbounded record list for the ``coll-*`` records of one
+    collective (fed by :mod:`repro.collectives.ring` only)."""
 
-    def __init__(self, chain: Optional[Any] = None):
+    def __init__(self):
         super().__init__(enabled=True, max_records=None)
-        self.chain = chain
-
-    def emit(self, time_ps: int, component: str, kind: str,
-             **detail: Any) -> None:
-        if self.chain is not None:
-            self.chain.emit(time_ps, component, kind, **detail)
-        if kind.startswith("coll-"):
-            super().emit(time_ps, component, kind, **detail)
 
 
 @contextlib.contextmanager
 def record_collective(engine):
-    """Install a :class:`CollectiveRecorder` on ``engine`` for a block."""
-    recorder = CollectiveRecorder(chain=engine.tracer)
-    engine.tracer = recorder
+    """Record the collectives run on ``engine`` during a block.
+
+    ``engine.tracer`` is left as it is: an installed tracer keeps
+    receiving every record, and a bare engine stays bare.
+    """
+    recorder, previous = CollectiveRecorder(), engine.recorder
+    engine.recorder = recorder
     try:
         yield recorder
     finally:
-        engine.tracer = recorder.chain
+        engine.recorder = previous
 
 
 def trace_collective(engine, fn: Callable[[], Any]

@@ -93,7 +93,6 @@ class Port:
         engine = self.engine
         ingress_get = self.ingress.get
         handle_tlp = self.owner.handle_tlp
-        handle_name = f"{self.name}.handle"
         while True:
             tlp = yield ingress_get()
             self.tlps_received += 1
@@ -107,9 +106,10 @@ class Port:
                 drained()
             result = handle_tlp(self, tlp)
             if result is not None:
-                # Multi-step handling: run it to completion before the next
-                # packet, preserving PCIe's per-link ordering.
-                yield engine.process(result, name=handle_name)
+                # Multi-step handling runs inline, to completion, before
+                # the next packet: PCIe's per-link ordering without a
+                # child process per TLP.
+                yield from result
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Port({self.name!r}, {self.role.value})"

@@ -45,8 +45,8 @@ import heapq
 import os
 from collections import deque
 from contextlib import contextmanager
-from typing import (Any, Callable, Deque, Generator, Iterable, Iterator, List,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Any, Callable, Deque, Dict, Generator, Iterable, Iterator,
+                    List, Optional, Sequence, Set, Tuple)
 
 from repro.errors import SimulationError
 from repro.units import PS_PER_NS
@@ -441,6 +441,11 @@ class Engine:
         #: components sample counters/gauges through it when set.  Like
         #: the tracer, a ``None`` check is the whole disabled-path cost.
         self.metrics = None
+        #: Optional collective recorder
+        #: (repro.obs.critpath.CollectiveRecorder).  Unlike the tracer,
+        #: only the ``coll-*`` emit sites of repro.collectives.ring feed
+        #: it, so recording a collective costs the hardware models nothing.
+        self.recorder = None
         #: Optional fault-injection hook (repro.faults.FaultInjector).
         #: Hardware models consult it at their fault points; when ``None``
         #: (the default) every fault path is skipped entirely, so an
@@ -453,6 +458,11 @@ class Engine:
         #: order is identical either way (profiling is wall-clock
         #: bookkeeping only — it never touches simulated time).
         self._profiler = None
+        #: Passive waits armed on this engine (insertion-ordered keys,
+        #: e.g. :class:`repro.hw.memory.WordWatch`).  A process parked on
+        #: one has no queued event, so a run that drains while any is
+        #: armed names them in its deadlock error.
+        self.watches: Dict[Any, None] = {}
         for callback in list(_engine_observers):
             callback(self)
 
@@ -732,7 +742,8 @@ class Engine:
         sequence numbers and counts no extra events.
 
         Raises :class:`SimulationError` naming every unfinished process
-        if the queues drain first.
+        and every armed watch (:attr:`watches`) if the queues drain
+        first.
         """
         if self._profiler is None:
             # Fused dispatch loop; see run() for the rationale.
@@ -765,15 +776,19 @@ class Engine:
                         raise self._deadlock(procs)
         return self._now_ps
 
-    @staticmethod
-    def _deadlock(procs: Sequence[Process]) -> SimulationError:
+    def _deadlock(self, procs: Sequence[Process]) -> SimulationError:
         waiting = [p.name for p in procs if not p.done]
         names = ", ".join(repr(name) for name in waiting)
         if len(waiting) == 1:
-            return SimulationError(f"deadlock: process {names} is still "
-                                   "waiting but no events remain")
-        return SimulationError(f"deadlock: processes {names} are still "
-                               "waiting but no events remain")
+            message = (f"deadlock: process {names} is still waiting but "
+                       "no events remain")
+        else:
+            message = (f"deadlock: processes {names} are still waiting "
+                       "but no events remain")
+        if self.watches:
+            message += "; armed watches: " + ", ".join(
+                str(watch) for watch in self.watches)
+        return SimulationError(message)
 
     def run_process(self, generator: ProcessGen, name: str = "") -> Any:
         """Start a process and run the engine until it completes.

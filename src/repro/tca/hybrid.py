@@ -191,9 +191,9 @@ class HybridComm:
                     comm.put_pio_timed(src_local, dst_global, data))
                 src_cluster.node(src_local).cpu.store_u32(
                     flag_global, flag_value)
-                dst_dram = dst_cluster.node(dst_local).dram
-                while dst_dram.cpu_read_u32(flag_bus) != flag_value:
-                    yield 20_000  # driver poll cadence
+                yield from dst_cluster.node(dst_local).dram.wait_u32(
+                    flag_bus, lambda word: word == flag_value,
+                    20_000)  # driver poll cadence
                 return "tca"
             yield self.engine.process(
                 comm.put_dma(src_local, src_bus, dst_global, nbytes))

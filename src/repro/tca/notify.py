@@ -75,13 +75,9 @@ class FlagPool:
     def wait(self, node_id: int, flag: int, sequence: int):
         """Process: poll the local flag until it reaches ``sequence``."""
         driver = self.cluster.driver(node_id)
-        dram = driver.node.dram
-        # Resolve the flag word's store offset once; each poll is then
-        # one integer load.
-        store = dram.store
-        offset = dram.region.offset_of(
-            driver.dma_buffer(self._offset(node_id, flag)))
-        poll = self.cluster.node(node_id).params.calib.driver_poll_interval_ps
-        while store.read_u32(offset) < sequence:
-            yield poll
-        return self.cluster.node(node_id).cpu.read_tsc()
+        node = driver.node
+        yield from node.dram.wait_u32(
+            driver.dma_buffer(self._offset(node_id, flag)),
+            lambda word: word >= sequence,
+            node.params.calib.driver_poll_interval_ps)
+        return node.cpu.read_tsc()

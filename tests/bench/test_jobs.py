@@ -10,6 +10,8 @@ live in ``test_suite_robustness.py``.
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -325,3 +327,65 @@ def test_journal_record_is_thread_safe(tmp_path):
     records = Journal.read(tmp_path / "j.jsonl")
     assert len(records) == 300
     assert {r["t"] for r in records} == {"job"}
+
+
+# -- orphaned workers ------------------------------------------------------------------
+
+_ORPHAN_SUPERVISOR = """
+import time
+from repro.bench.jobs import Job, JobScheduler
+
+def runner(name, mode, seed):
+    time.sleep(60)  # never finishes before the supervisor is killed
+    return "{}", 0.0
+
+def on_event(kind, info):
+    if kind == "worker-spawn":
+        print(info["pid"], flush=True)
+
+jobs = [Job(name=n, eid="E0", key=n * 64, mode="tiny", seed=0)
+        for n in "ab"]
+JobScheduler(jobs, runner, workers=2, heartbeat_s=%r,
+             on_event=on_event).run()
+"""
+
+
+def _alive(pid):
+    """True while ``pid`` runs (a zombie nobody reaped counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="needs /proc to inspect worker state")
+def test_workers_exit_when_their_supervisor_is_sigkilled():
+    """A SIGKILLed supervisor closes no pipe its workers could see (the
+    siblings hold the other ends), so each worker's heartbeat thread
+    must notice the reparenting and exit by itself."""
+    heartbeat_s = 0.05
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    supervisor = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SUPERVISOR % heartbeat_s],
+        env=env, stdout=subprocess.PIPE, text=True)
+    workers = []
+    try:
+        workers = [int(supervisor.stdout.readline()) for _ in range(2)]
+        time.sleep(4 * heartbeat_s)
+        assert all(_alive(pid) for pid in workers)
+        supervisor.kill()
+        supervisor.wait()
+        deadline = time.monotonic() + 20 * heartbeat_s
+        while time.monotonic() < deadline and any(map(_alive, workers)):
+            time.sleep(heartbeat_s / 5)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        supervisor.kill()
+        supervisor.wait()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

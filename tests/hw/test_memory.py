@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.errors import AddressError
+from repro.errors import AddressError, ConfigError, SimulationError
 from repro.hw.memory import BackingStore, HostMemory, MemoryParams, PAGE_SIZE
+from repro.hw.node import NodeParams
 from repro.pcie.link import LinkParams, PCIeLink
 from repro.pcie.port import PortRole
 from repro.pcie.tlp import make_read, make_write
+from repro.sim.core import Engine, dispatch_mode
+from repro.sim.trace import Tracer
+from repro.tca.comm import TCAComm
+from repro.tca.notify import FlagPool
+from repro.tca.subcluster import TCASubCluster
 from repro.units import GiB, ns
 from tests.pcie.helpers import RequesterDevice
 
@@ -199,3 +205,150 @@ class TestHostMemory:
             mem.cpu_read_u32(0x0F_FFFF)
         with pytest.raises(AddressError):
             mem.cpu_read_u32(0x10_0000 + mem.store.size - 2)
+
+
+# -- HostMemory.wait_u32 against the spin loop it replaces ----------------
+
+FLAG = 0x40
+POLL = ns(20)
+
+
+def u32_write(req, value):
+    data = np.frombuffer(value.to_bytes(4, "little"), dtype=np.uint8)
+    req.port.send(make_write(FLAG, data.copy(), requester_id=req.device_id))
+
+
+def commit_delay_ps():
+    """Send-to-commit time of a 4-byte write on the idle test link."""
+    engine = Engine()
+    mem, req = build_memory(engine)
+    engine.tracer = Tracer(enabled=True)
+    u32_write(req, 1)
+    engine.run()
+    [commit] = [r for r in engine.tracer.records if r.kind == "mem-commit"]
+    return commit.time_ps
+
+
+def run_waiter(use_watch, writes, done, start_ps, dispatch, poll_ps=POLL):
+    """Resume time, returned word and event count of one flag wait.
+
+    ``writes`` are ``(send_ps, value)`` TLP writes to the flag word; the
+    waiter starts at ``start_ps`` and is either the inline spin loop
+    (the oracle) or :meth:`HostMemory.wait_u32`.
+    """
+    with dispatch_mode(dispatch):
+        engine = Engine()
+    mem, req = build_memory(engine)
+    for send_ps, value in writes:
+        engine.at(send_ps, u32_write, req, value)
+
+    def waiter():
+        yield start_ps
+        if use_watch:
+            value = yield from mem.wait_u32(FLAG, done, poll_ps)
+        else:
+            while not done(mem.cpu_read_u32(FLAG)):
+                yield poll_ps
+            value = mem.cpu_read_u32(FLAG)
+        return engine.now_ps, value
+
+    return engine.run_process(waiter()), mem
+
+
+@pytest.fixture(scope="module")
+def commit_ps():
+    return commit_delay_ps()
+
+
+class TestWaitU32:
+    """Same resume tick and value as the polling loop, in both modes."""
+
+    def check(self, writes, done, start_ps, expect_value):
+        for dispatch in ("fast", "reference"):
+            oracle, _ = run_waiter(False, writes, done, start_ps, dispatch)
+            watched, mem = run_waiter(True, writes, done, start_ps,
+                                      dispatch)
+            assert watched == oracle, dispatch
+            assert oracle[1] == expect_value
+            assert (oracle[0] - start_ps) % POLL == 0
+            assert not mem.store.watches  # disarmed on resume
+            assert not mem.engine.watches
+        return oracle
+
+    def test_commit_between_ticks(self, commit_ps):
+        send = ns(300)
+        start = send + commit_ps - 3 * POLL - ns(7)
+        now, _ = self.check([(send, 5)], lambda w: w == 5, start, 5)
+        assert now == start + 4 * POLL
+
+    def test_commit_exactly_on_a_tick(self, commit_ps):
+        # Tie rule: the commit lands before the poll on the same tick.
+        send = ns(300)
+        start = send + commit_ps - 4 * POLL
+        now, _ = self.check([(send, 5)], lambda w: w == 5, start, 5)
+        assert now == send + commit_ps
+
+    def test_already_satisfied_on_entry_costs_no_event(self, engine):
+        mem, _ = build_memory(engine)
+        mem.cpu_write(FLAG, np.array([9, 0, 0, 0], dtype=np.uint8))
+        engine.run()
+        before = engine.events_processed
+        wait = mem.wait_u32(FLAG, lambda w: w == 9, POLL)
+        with pytest.raises(StopIteration) as stop:
+            next(wait)
+        assert stop.value.value == 9
+        engine.run()
+        assert engine.events_processed == before
+        assert not mem.store.watches and not engine.watches
+
+    def test_overwritten_before_the_tick_rearms(self, commit_ps):
+        # 7 lands 1 ns after a tick, 9 overwrites it before the next
+        # one, 7 comes back much later: the first check must re-arm.
+        send = ns(300)
+        start = send + commit_ps - 2 * POLL - ns(1)
+        writes = [(send, 7), (send + ns(5), 9), (send + ns(400), 7)]
+        now, _ = self.check(writes, lambda w: w == 7, start, 7)
+        assert now > send + ns(400) + commit_ps - POLL
+
+    def test_sequence_wait(self, commit_ps):
+        send = ns(300)
+        start = send + commit_ps - 5 * POLL - ns(3)
+        writes = [(send, 1), (send + ns(90), 2), (send + ns(250), 4)]
+        now, _ = self.check(writes, lambda w: w >= 3, start, 4)
+        assert now > send + ns(250)
+
+    def test_rejects_non_positive_poll(self, engine):
+        mem, _ = build_memory(engine)
+        with pytest.raises(ConfigError):
+            next(mem.wait_u32(FLAG, lambda w: w == 1, 0))
+
+
+class TestLostFlag:
+    """A flag nobody writes drains the engine into a named deadlock."""
+
+    def test_deadlock_names_the_armed_watch(self, engine):
+        mem, _ = build_memory(engine)
+        proc = engine.process(mem.wait_u32(FLAG, lambda w: w == 1, POLL),
+                              name="flag-wait")
+        # Bounded: a spinning poll would use up the budget and leave
+        # its next tick queued.
+        engine.run(max_events=10_000)
+        assert engine.events_processed < 10_000
+        assert not engine._ready and not engine._heap
+        with pytest.raises(SimulationError) as err:
+            engine.run_all((proc,))
+        assert str(err.value) == (
+            "deadlock: process 'flag-wait' is still waiting but no events "
+            "remain; armed watches: dram @0x40 = 0x0")
+
+    def test_lost_flag_pool_signal(self):
+        cluster = TCASubCluster(2, node_params=NodeParams(num_gpus=1))
+        engine = cluster.engine
+        flags = FlagPool(cluster, TCAComm(cluster))
+        proc = engine.process(flags.wait(1, 3, 1), name="waiter")
+        engine.run(max_events=100_000)
+        assert not engine._ready and not engine._heap
+        with pytest.raises(SimulationError,
+                           match=r"'waiter'.*armed watches: "
+                                 r"\S*dram @0x[0-9a-f]+ = 0x0$"):
+            engine.run_all((proc,))

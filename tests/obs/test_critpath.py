@@ -9,6 +9,7 @@ from repro.collectives import TCACollectives
 from repro.collectives.ring import (FLAG_AG, FLAG_BARRIER, FLAG_RS,
                                     ring_barrier)
 from repro.hw.node import NodeParams
+from repro.obs import Observability
 from repro.obs.critpath import (COMPONENTS, CollectiveRecorder, analyze,
                                 decode_flag, record_collective,
                                 trace_collective)
@@ -142,3 +143,51 @@ class TestRecorder:
         assert any(not k.startswith("coll-") for k in kinds)
         coll_kinds = {r.kind for r in recorder.records}
         assert coll_kinds <= {"coll-put", "coll-wait"}
+
+
+class TestRecorderOffTracePath:
+    """Recording a collective installs no tracer (E21's schedule)."""
+
+    @staticmethod
+    def e21_allreduce(cluster):
+        rng = np.random.default_rng(1024)
+        vectors = [rng.integers(0, 1 << 32, 256, dtype=np.uint32)
+                   for _ in range(8)]
+        return TCACollectives(cluster).allreduce(vectors)
+
+    def test_session_report_equals_bare_report(self):
+        bare = make_cluster(8, DUAL_RING)
+        _, bare_report = trace_collective(
+            bare.engine, lambda: self.e21_allreduce(bare))
+
+        obs = Observability()
+        with obs.session():
+            cluster = make_cluster(8, DUAL_RING)
+        with record_collective(cluster.engine) as recorder:
+            self.e21_allreduce(cluster)
+        assert analyze(recorder.records).to_dict() == bare_report.to_dict()
+        assert bare_report.step_count == 7
+
+        session = obs.tracer_for(cluster.engine)
+        assert cluster.engine.tracer is session
+        coll = [r for r in session.records if r.kind.startswith("coll-")]
+        assert coll == recorder.records
+        assert {r.kind for r in coll} == {"coll-put", "coll-wait"}
+        # Every hardware record still reaches the session tracer, once.
+        assert len(session.records) - len(coll) == 5880
+        assert session.dropped == 0
+
+    def test_bare_engine_stays_bare(self):
+        cluster = make_cluster(4)
+        seen = []
+
+        def run():
+            seen.append(cluster.engine.tracer)
+            result = TCACollectives(cluster).allreduce(vectors(4, 256))
+            seen.append(cluster.engine.tracer)
+            return result
+
+        _, report = trace_collective(cluster.engine, run)
+        assert seen == [None, None]
+        assert cluster.engine.recorder is None  # restored
+        assert report.step_count == 6
