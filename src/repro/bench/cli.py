@@ -316,7 +316,12 @@ def _report_main(args) -> int:
         # Accept both the bare {name: profile} map and the full
         # 'perf --profile --json' stdout document wrapping it.
         profiles = doc.get("profile", doc) if isinstance(doc, dict) \
-            else None
+            else doc
+        problem = hist.validate_profile_doc(
+            profiles, f"profile document {args.profile_json!r}")
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
+            return 2
 
     page = hist.render_dashboard(history=history, perf_doc=perf_doc,
                                  gate=gate, suite_doc=suite_doc,
@@ -544,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(see docs/performance.md)")
     perf.set_defaults(run=_perf_main)
     perf.add_argument("--profile", action="store_true",
-                      help="profile engine dispatch per experiment and "
-                           "print the top hotspots")
+                      help="sample host CPU time per experiment and "
+                           "print its layer shares and top hotspots")
     perf.add_argument("--check", action="store_true",
                       help="gate this run against --baseline; exit "
                            "nonzero on regression")

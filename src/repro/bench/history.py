@@ -7,14 +7,14 @@ Three consumers of the ``tca-bench-perf/1`` document:
   samples), so the repo accumulates a perf trajectory the dashboard can
   plot and future regressions can be dated against.
 * **Gate** — :func:`check_against_baseline` compares a fresh run to a
-  committed baseline (e.g. ``BENCH_PR6.json``) and fails on a >15 %
+  committed baseline (CI uses ``BENCH_PR9.json``) and fails on a >15 %
   bare events/s regression or an instrumented/bare overhead ratio over
   budget.  ``tca-bench perf --check`` exits nonzero when the gate
   fails, which is what CI hangs on.
 * **Dashboard** — :func:`render_dashboard` emits one self-contained
   HTML file (no external assets): anchor pass/fail, the events/s trend
   over recorded runs, overhead ratios against the budget, and the
-  profiler's top hotspots.
+  sampler's layer shares and top hotspots (``tca-bench-profile/2``).
 
 The gate compares per experiment and only over experiments present in
 *both* documents, so a tiny CI budget (``--perf-experiments fig9``) can
@@ -28,6 +28,8 @@ import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.obs.profile import SCHEMA as PROFILE_SCHEMA
 
 #: Version tag of each history line.
 HISTORY_SCHEMA = "tca-bench-history/1"
@@ -98,6 +100,53 @@ def validate_perf_doc(doc: Any, what: str = "perf document"
         if missing:
             return (f"{what} results[{i}] is missing "
                     f"{', '.join(missing)}; {fix}")
+    return None
+
+
+def validate_profile_doc(doc: Any, what: str = "profile document"
+                         ) -> Optional[str]:
+    """One-line actionable error for a malformed profile map, or None.
+
+    ``doc`` maps experiment names to ``tca-bench-profile/2`` reports, as
+    printed under the ``profile`` key of ``tca-bench perf --profile
+    --json``.  ``tca-bench report --profile-json`` runs it through this
+    before rendering, so a saved ``tca-bench-profile/1`` file or a
+    truncated hotspot is a clear message, not a ``KeyError``.
+    """
+    fix = "regenerate it with 'tca-bench perf --profile --json'"
+    if not isinstance(doc, dict):
+        return f"{what} is not a JSON object; {fix}"
+    if not doc:
+        return f"{what} has no profiles; {fix}"
+    for name, report in doc.items():
+        where = f"{what} entry {name!r}"
+        if not isinstance(report, dict):
+            return f"{where} is not an object; {fix}"
+        schema = report.get("schema")
+        if schema != PROFILE_SCHEMA:
+            return (f"{where} has schema {schema!r} but the dashboard "
+                    f"needs {PROFILE_SCHEMA!r}; {fix}")
+        layers = report.get("layers")
+        bad = [k for k, kind in (("samples", int),
+                                 ("attributed_fraction", (int, float)),
+                                 ("layers", dict), ("hotspots", list))
+               if not isinstance(report.get(k), kind)]
+        if not bad and not all(isinstance(v, (int, float))
+                               for v in layers.values()):
+            bad = ["layers"]
+        if bad:
+            return (f"{where} has missing or malformed "
+                    f"{', '.join(bad)}; {fix}")
+        for i, spot in enumerate(report["hotspots"]):
+            if not isinstance(spot, dict):
+                return f"{where} hotspots[{i}] is not an object; {fix}"
+            bad = [k for k, kind in (("layer", str), ("site", str),
+                                     ("samples", int),
+                                     ("share", (int, float)))
+                   if not isinstance(spot.get(k), kind)]
+            if bad:
+                return (f"{where} hotspots[{i}] has missing or malformed "
+                        f"{', '.join(bad)}; {fix}")
     return None
 
 
@@ -513,22 +562,34 @@ def _anchors_section(suite_doc: Dict[str, Any]) -> str:
 
 def _hotspots_section(profiles: Dict[str, Dict[str, Any]],
                       top_n: int = 10) -> str:
+    layer_rows = []
     merged = []
     for name, doc in profiles.items():
-        for spot in doc.get("hotspots", []):
-            merged.append((spot["wall_ns"], name, spot))
-    merged.sort(key=lambda t: -t[0])
+        shares = " · ".join(f"{_esc(layer)} {share:.1%}"
+                            for layer, share in doc["layers"].items())
+        layer_rows.append(
+            f"<tr><td>{_esc(name)}</td><td>{doc['samples']:,}</td>"
+            f"<td>{doc['attributed_fraction']:.1%}</td>"
+            f"<td class='muted'>{shares or '—'}</td></tr>")
+        for spot in doc["hotspots"]:
+            merged.append((spot["samples"], name, spot))
+    merged.sort(key=lambda t: (-t[0], t[1], t[2]["site"]))
     rows = []
-    for wall_ns, name, spot in merged[:top_n]:
+    for samples, name, spot in merged[:top_n]:
         rows.append(
             f"<tr><td>{_esc(name)}</td>"
-            f"<td>{_esc(spot['component'])}</td>"
-            f"<td>{_esc(spot['kind'])}</td>"
-            f"<td>{spot['calls']:,}</td>"
-            f"<td>{wall_ns / 1e6:,.2f}</td>"
+            f"<td>{_esc(spot['layer'])}</td>"
+            f"<td>{samples:,}</td>"
+            f"<td>{spot['share']:.1%}</td>"
             f"<td class='muted'>{_esc(spot['site'])}</td></tr>")
-    return ("<table><thead><tr><th>experiment</th><th>component</th>"
-            "<th>kind</th><th>calls</th><th>wall ms</th><th>site</th>"
+    return ("<p class='muted'>shares of sampled CPU time, by package "
+            "layer</p>"
+            "<table><thead><tr><th>experiment</th><th>samples</th>"
+            "<th>attributed</th><th>layer shares</th></tr></thead>"
+            f"<tbody>{''.join(layer_rows)}</tbody></table>"
+            "<p class='muted'>hottest sites</p>"
+            "<table><thead><tr><th>experiment</th><th>layer</th>"
+            "<th>samples</th><th>share</th><th>site</th>"
             f"</tr></thead><tbody>{''.join(rows)}</tbody></table>")
 
 

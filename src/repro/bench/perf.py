@@ -5,8 +5,8 @@ one measures *host* time — how fast the event loop chews through a
 representative slice of the paper's experiments.  It exists so that
 performance work on the engine has a trajectory: run ``tca-bench perf``
 before and after a change, compare events/second, and commit the JSON
-document (``tca-bench perf --bench-json BENCH_PR3.json``) so the next
-change has a baseline to beat.
+document (``tca-bench perf --bench-json BENCH_PR9.json``, the baseline
+CI gates against) so the next change has a baseline to beat.
 
 Each experiment is timed twice — **bare** (no observability attached) and
 **instrumented** (a full :class:`~repro.obs.session.Observability` session:
@@ -201,22 +201,19 @@ def run_perf(names: Optional[Sequence[str]] = None) -> PerfReport:
 
 
 def run_profile(names: Optional[Sequence[str]] = None) -> Dict[str, Any]:
-    """Run each experiment once under an :class:`EngineProfiler`.
+    """Run each experiment once under a :class:`LayerSampler`.
 
     Returns ``{experiment: ProfileReport}`` — the ``perf --profile``
-    payload.  Each experiment gets a fresh profiler so its hotspots are
-    not diluted by the others'; the window opens tight around the run,
-    so the attribution covers exactly the experiment's wall time
-    (dispatch + harness gaps).
+    payload.  Each experiment gets its own sampler, so its layer shares
+    are not diluted by the others'.
     """
-    from repro.obs.profile import EngineProfiler
+    from repro.obs.profile import LayerSampler
 
     names = list(PERF_EXPERIMENTS) if names is None else list(names)
     reports: Dict[str, Any] = {}
     for name in names:
         fn = PERF_EXPERIMENTS[name]
-        profiler = EngineProfiler()
-        with profiler.session():
+        with LayerSampler() as sampler:
             fn()
-        reports[name] = profiler.report(label=name)
+        reports[name] = sampler.report(label=name)
     return reports

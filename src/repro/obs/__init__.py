@@ -8,8 +8,8 @@ every component already funnels through:
 * :mod:`repro.obs.attribution` — decompose a measured interval into named
   segments (the Fig. 10 / Fig. 9 latency budgets);
 * :mod:`repro.obs.exporters` — Chrome/Perfetto trace JSON + metrics dumps;
-* :mod:`repro.obs.profile` — wall-clock engine profiler (where does host
-  time go, per component/event-kind/callback site);
+* :mod:`repro.obs.profile` — host-time layer sampler (which package and
+  which ``module.qualname`` site the CPU time goes to);
 * :mod:`repro.obs.runlog` — wall-clock run telemetry for the suite runner
   (worker timelines, cache latencies) in a second Perfetto clock domain;
 * :mod:`repro.obs.critpath` — collective critical-path analyzer (which
@@ -18,8 +18,7 @@ every component already funnels through:
 :class:`Observability` ties them together; the bench CLI exposes it as
 ``tca-bench <exp> --trace out.json --metrics out.json``.  Disabled-path
 cost at every instrumentation site is one attribute check (``engine.tracer
-is None`` / ``engine.metrics is None`` / ``engine.profiler is None``), so
-paper numbers are unchanged.
+is None`` / ``engine.metrics is None``), so paper numbers are unchanged.
 """
 
 from repro.obs.attribution import (AttributionError, Segment, attribute_dma,
@@ -29,7 +28,7 @@ from repro.obs.critpath import (CollectiveRecorder, CritPathReport,
                                 StepReport, analyze, record_collective,
                                 trace_collective)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
-from repro.obs.profile import EngineProfiler, ProfileEntry, ProfileReport
+from repro.obs.profile import LayerSampler, ProfileReport
 from repro.obs.runlog import PS_PER_WALL_NS, RunLog
 from repro.obs.session import Observability
 
@@ -38,13 +37,12 @@ __all__ = [
     "CollectiveRecorder",
     "Counter",
     "CritPathReport",
-    "EngineProfiler",
     "Gauge",
     "Histogram",
+    "LayerSampler",
     "MetricsRegistry",
     "Observability",
     "PS_PER_WALL_NS",
-    "ProfileEntry",
     "ProfileReport",
     "RunLog",
     "Segment",

@@ -1,314 +1,176 @@
-"""Opt-in wall-clock profiler for the event-engine dispatch loop.
+"""Host-time layer sampler: which package the CPU time goes to.
 
 Every other instrument in :mod:`repro.obs` watches *simulated* time; this
-one watches where *host* time goes while the engine dispatches events —
-the targeting instrument for engine-speed work (ROADMAP item 1).  An
-:class:`EngineProfiler` installs itself as ``engine.profiler``; the
-engine then routes :meth:`~repro.sim.core.Engine.step` through a timed
-copy of the dispatch body and reports each step's wall-clock nanoseconds
-here, attributed to the callback that ran:
+one watches where *host* time goes while experiments run — the
+targeting instrument for engine-speed work.  It never touches an
+:class:`~repro.sim.core.Engine`: while a :class:`LayerSampler` is
+active, a ``SIGPROF`` interval timer interrupts the process every
+:data:`INTERVAL_S` of CPU time, and the handler charges one sample to
+the innermost interrupted frame whose file lies in the ``repro``
+package:
 
-* **component** — who the callback belongs to: a process name with
-  instance digits folded away (``flow``, ``coll.pio``), a signal family,
-  or the owning class (``PCIeLink``, ``DMAEngine``),
-* **kind** — what sort of callback it was (``process``, ``signal``,
-  ``method``, ``function``),
-* **site** — the exact code location (``module.qualname``), the thing a
-  human optimizes.
+* **layer** — the subpackage (``sim``, ``pcie``, ``peach2``, ``hw``,
+  ``tca``, ``collectives``, ``drivers``, ``obs``, ``bench``, ...);
+  top-level modules such as ``repro/units.py`` count as ``other``;
+* **site** — ``module.qualname`` of that frame, the thing a human
+  optimizes.
 
-Wall time *between* dispatches — experiment harness code, rig
-construction, result analysis — is charged to an explicit
-:data:`HARNESS` component, so a report attributes (essentially) the
-whole profiling window and the dispatch/harness split is itself a
-reported number.
-
-Profiling is pure wall-clock bookkeeping: it schedules nothing and never
-reads or advances simulated time, so a profiled run's simulated outputs
-are picosecond-identical to an unprofiled one.  With no profiler
-installed the entire cost is one ``is not None`` check per step.
+Frames outside the package (the stdlib, numpy's Python layer, the test
+runner) are walked past; a sample with no ``repro`` frame on the stack
+is counted but unattributed.  Reports give sample counts and shares
+rather than durations: the kernel rounds the interval up to its tick,
+so the nominal interval times the count is not a trustworthy duration.
+Sampling schedules nothing and reads no simulated state, so a sampled
+run's outputs are picosecond-identical to a bare one, and between
+samples it costs nothing.
 """
 
 from __future__ import annotations
 
-import contextlib
-import re
-import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import os
+import signal
+from collections import Counter
+from types import FrameType
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.sim.core import (Engine, Process, Signal, register_engine_observer,
-                            unregister_engine_observer)
+import repro
 
-#: Instance digits in process/signal names ("flow3", "node0.sched.17")
-#: fragment hotspot aggregation; fold them away for the component label.
-_DIGITS = re.compile(r"\d+")
+#: Sampling period in seconds of process CPU time.  The kernel coalesces
+#: it to its timer tick (about 4 ms on a HZ=250 kernel).
+INTERVAL_S = 0.001
 
-#: Component label for wall time spent *between* dispatches — experiment
-#: harness code, rig construction, analysis.  Attributing it explicitly
-#: keeps the whole profiling window accounted for and shows how much of
-#: a run is even engine time (the ROADMAP item 1 denominator).
-HARNESS = "(harness)"
-_HARNESS_KEY = (HARNESS, "gap", "outside engine dispatch")
+#: Version tag of :meth:`ProfileReport.to_dict`.
+SCHEMA = "tca-bench-profile/2"
 
+#: Top-level modules (``repro/units.py``, ``repro/errors.py``) charge here.
+OTHER = "other"
 
-def _fold(name: str) -> str:
-    """Collapse instance digits: ``coll0.pio`` -> ``coll.pio``."""
-    return _DIGITS.sub("", name).strip(".") or "anonymous"
+_ROOT = os.path.dirname(repro.__file__) + os.sep
 
 
-@dataclass(frozen=True)
-class ProfileEntry:
-    """Aggregated dispatch cost of one (component, kind, site) bucket."""
-
-    component: str
-    kind: str
-    site: str
-    calls: int
-    wall_ns: int
-
-    @property
-    def wall_s(self) -> float:
-        return self.wall_ns / 1e9
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "component": self.component,
-            "kind": self.kind,
-            "site": self.site,
-            "calls": self.calls,
-            "wall_ns": self.wall_ns,
-        }
+def _classify(frame: Optional[FrameType]) -> Optional[Tuple[str, str]]:
+    """``(layer, site)`` of the innermost ``repro`` frame, or None."""
+    while frame is not None:
+        code = frame.f_code
+        path = code.co_filename
+        if path.startswith(_ROOT):
+            parts = path[len(_ROOT):-len(".py")].split(os.sep)
+            layer = parts[0] if len(parts) > 1 else OTHER
+            if parts[-1] == "__init__":
+                parts.pop()
+            module = ".".join(["repro", *parts])
+            # co_qualname is new in Python 3.11.
+            name = getattr(code, "co_qualname", code.co_name)
+            return layer, f"{module}.{name}"
+        frame = frame.f_back
+    return None
 
 
 class ProfileReport:
-    """One profiling window's hotspots, ready to rank and render."""
+    """One sampling window's layer shares and hottest sites."""
 
-    def __init__(self, entries: List[ProfileEntry], window_ns: int,
-                 engines: int, label: str = ""):
-        self.entries = sorted(entries, key=lambda e: (-e.wall_ns, e.site))
-        self.window_ns = window_ns
-        self.engines = engines
+    def __init__(self, samples: int, sites: Dict[Tuple[str, str], int],
+                 label: str = ""):
+        self.samples = samples
+        #: (layer, site) -> samples, hottest first.
+        self.sites = dict(sorted(sites.items(),
+                                 key=lambda kv: (-kv[1], kv[0][1])))
         self.label = label
 
     @property
-    def attributed_ns(self) -> int:
-        """Window nanoseconds attributed to named components."""
-        return sum(e.wall_ns for e in self.entries)
-
-    @property
-    def harness_ns(self) -> int:
-        """Nanoseconds spent outside dispatch (the HARNESS bucket)."""
-        return sum(e.wall_ns for e in self.entries
-                   if e.component == HARNESS)
-
-    @property
-    def dispatch_ns(self) -> int:
-        """Nanoseconds spent inside engine dispatch proper."""
-        return self.attributed_ns - self.harness_ns
-
-    @property
-    def calls(self) -> int:
-        """Dispatched events (HARNESS gap intervals excluded)."""
-        return sum(e.calls for e in self.entries if e.component != HARNESS)
+    def attributed(self) -> int:
+        """Samples that landed in a ``repro`` frame."""
+        return sum(self.sites.values())
 
     @property
     def attributed_fraction(self) -> float:
-        """Attributed share of the whole profiling window, in [0, 1]."""
-        if self.window_ns <= 0:
-            return 0.0
-        return min(1.0, self.attributed_ns / self.window_ns)
+        """Attributed share of all samples; 0.0 with no samples."""
+        return self.attributed / self.samples if self.samples else 0.0
 
-    def top(self, n: int = 10) -> List[ProfileEntry]:
-        """The ``n`` most expensive buckets, by attributed wall time."""
-        return self.entries[:n]
+    def layers(self) -> Dict[str, float]:
+        """Layer -> share of the attributed samples, hottest first."""
+        counts: Counter = Counter()
+        for (layer, _), n in self.sites.items():
+            counts[layer] += n
+        total = self.attributed
+        return {layer: n / total for layer, n in counts.most_common()}
 
-    def by_component(self) -> Dict[str, int]:
-        """Component -> attributed nanoseconds, hottest first."""
-        totals: Dict[str, int] = {}
-        for e in self.entries:
-            totals[e.component] = totals.get(e.component, 0) + e.wall_ns
-        return dict(sorted(totals.items(), key=lambda kv: -kv[1]))
+    def top(self, n: int = 10) -> List[Tuple[str, str, int]]:
+        """The ``n`` most sampled ``(layer, site, samples)``."""
+        return [(layer, site, count) for (layer, site), count
+                in list(self.sites.items())[:n]]
 
     def to_dict(self, top_n: int = 25) -> Dict[str, Any]:
+        total = self.attributed or 1
         return {
-            "schema": "tca-bench-profile/1",
+            "schema": SCHEMA,
             "label": self.label,
-            "window_ns": self.window_ns,
-            "attributed_ns": self.attributed_ns,
+            "samples": self.samples,
             "attributed_fraction": round(self.attributed_fraction, 4),
-            "dispatch_ns": self.dispatch_ns,
-            "harness_ns": self.harness_ns,
-            "engines": self.engines,
-            "calls": self.calls,
-            "components": self.by_component(),
-            "hotspots": [e.to_dict() for e in self.top(top_n)],
+            "layers": {layer: round(share, 4)
+                       for layer, share in self.layers().items()},
+            "hotspots": [{"layer": layer, "site": site, "samples": count,
+                          "share": round(count / total, 4)}
+                         for layer, site, count in self.top(top_n)],
         }
 
     def render(self, top_n: int = 15) -> str:
-        """Terminal hotspot table, hottest site first."""
-        attributed = self.attributed_ns or 1
-        header = (f"{'component':<18} {'kind':<9} {'calls':>9} "
-                  f"{'wall_ms':>9} {'%':>6}  site")
-        lines = [header, "-" * len(header)]
-        for e in self.top(top_n):
-            lines.append(
-                f"{e.component:<18.18} {e.kind:<9} {e.calls:>9} "
-                f"{e.wall_ns / 1e6:>9.2f} {100 * e.wall_ns / attributed:>5.1f}%"
-                f"  {e.site}")
+        """Terminal table: layer shares, then the hottest sites."""
+        total = self.attributed or 1
+        shares = "  ".join(f"{layer} {100 * share:.1f}%"
+                           for layer, share in self.layers().items())
+        header = f"{'layer':<12} {'samples':>8} {'share':>7}  site"
+        lines = [f"layers: {shares or '(none)'}", "", header,
+                 "-" * len(header)]
+        for layer, site, count in self.top(top_n):
+            lines.append(f"{layer:<12} {count:>8} "
+                         f"{100 * count / total:>6.1f}%  {site}")
         lines.append("")
-        lines.append(
-            f"attributed {self.attributed_ns / 1e6:.2f} ms of a "
-            f"{self.window_ns / 1e6:.2f} ms window "
-            f"({100 * self.attributed_fraction:.1f}%) across "
-            f"{self.engines} engine(s): "
-            f"{self.dispatch_ns / 1e6:.2f} ms dispatch "
-            f"({self.calls} events), "
-            f"{self.harness_ns / 1e6:.2f} ms harness")
+        lines.append(f"{self.samples} samples, "
+                     f"{100 * self.attributed_fraction:.1f}% in repro "
+                     f"frames")
         return "\n".join(lines)
 
 
-class EngineProfiler:
-    """Attributes per-step dispatch wall time; install via ``session()``.
+class LayerSampler:
+    """Samples the running process by layer while the ``with`` block runs.
 
-    One profiler may span any number of engines (an experiment builds a
-    fresh engine per rig); buckets aggregate across all of them.  Nested
-    ``engine.step()`` re-entry from inside a callback would double-count
-    the outer step — no simulation code does that, and the profiler is a
-    diagnostic, not an accounting system.
+    Entering installs a ``SIGPROF`` handler and arms ``ITIMER_PROF``;
+    exiting puts back whatever handler and timer were there before, also
+    when the block raises.  Signal handlers run in the main thread, so
+    the sampler must be entered there.  CPU time spent in forked
+    workers, or blocked waiting for them, is not sampled.
     """
 
-    def __init__(self, clock: Callable[[], int] = time.perf_counter_ns):
-        self.clock = clock
-        self.engines = 0
-        self._window_ns = 0
-        self._t_start: Optional[int] = None
-        #: Wall timestamp where the last attributed interval ended; the
-        #: next dispatch charges the gap since then to HARNESS.
-        self._last_ns: Optional[int] = None
-        #: (component, kind, site) -> [calls, wall_ns]
-        self._buckets: Dict[Tuple[str, str, str], List[int]] = {}
-        #: function object -> (kind, site, static component or None)
-        self._sites: Dict[Any, Tuple[str, str, Optional[str]]] = {}
+    def __init__(self) -> None:
+        self.samples = 0
+        self.sites: Counter = Counter()
+        self._previous: Any = None
 
-    # -- wiring -------------------------------------------------------------
+    def __enter__(self) -> "LayerSampler":
+        handler = signal.signal(signal.SIGPROF, self._on_signal)
+        timer = signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
+        self._previous = (handler, timer)
+        return self
 
-    def install(self, engine: Engine) -> None:
-        """Hook one engine's dispatch loop."""
-        engine.profiler = self
-        self.engines += 1
+    def __exit__(self, *exc_info: Any) -> None:
+        handler, timer = self._previous
+        # Timer first, handler second: a tick already pending is then
+        # delivered to this sampler, never to a default action that would
+        # kill the process.
+        signal.setitimer(signal.ITIMER_PROF, *timer)
+        signal.signal(signal.SIGPROF,
+                      signal.SIG_DFL if handler is None else handler)
 
-    @contextlib.contextmanager
-    def session(self):
-        """Profile every :class:`Engine` constructed inside the block.
+    def _on_signal(self, signum: int, frame: Optional[FrameType]) -> None:
+        self.sample(frame)
 
-        Also opens the measurement window: ``attributed_fraction``
-        relates dispatch time to wall time spent inside the block.
-        """
-        register_engine_observer(self.install)
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()
-            unregister_engine_observer(self.install)
-
-    def start(self) -> None:
-        if self._t_start is None:
-            self._t_start = self.clock()
-            self._last_ns = self._t_start
-
-    def stop(self) -> None:
-        if self._t_start is not None:
-            now = self.clock()
-            self._window_ns += now - self._t_start
-            self._t_start = None
-            # Close out the tail: window time after the last dispatch is
-            # harness time too.
-            if self._last_ns is not None and now > self._last_ns:
-                gap = self._buckets.setdefault(_HARNESS_KEY, [0, 0])
-                gap[0] += 1
-                gap[1] += now - self._last_ns
-            self._last_ns = None
-
-    # -- the hot path (called once per profiled event) ----------------------
-
-    def record(self, callback: Callable[..., None], t0_ns: int,
-               t1_ns: int) -> None:
-        """Attribute one dispatched step (``t0..t1`` on the wall clock)
-        to its callback; the gap since the previous step — experiment
-        code, rig construction, result analysis — goes to the
-        :data:`HARNESS` bucket, so the whole window stays attributed."""
-        last = self._last_ns
-        if last is not None and t0_ns > last:
-            gap = self._buckets.get(_HARNESS_KEY)
-            if gap is None:
-                self._buckets[_HARNESS_KEY] = [1, t0_ns - last]
-            else:
-                gap[0] += 1
-                gap[1] += t0_ns - last
-        self._last_ns = t1_ns
-        elapsed_ns = t1_ns - t0_ns
-        owner = getattr(callback, "__self__", None)
-        func = callback.__func__ if owner is not None else callback
-        cached = self._sites.get(func)
-        if cached is None:
-            cached = self._classify(func, owner)
-            self._sites[func] = cached
-        kind, site, static_component = cached
-        if static_component is not None:
-            component = static_component
-        elif isinstance(owner, (Process, Signal)):
-            component = _fold(owner.name)
-        else:
-            component = type(owner).__name__
-        bucket = self._buckets.get((component, kind, site))
-        if bucket is None:
-            self._buckets[(component, kind, site)] = [1, elapsed_ns]
-        else:
-            bucket[0] += 1
-            bucket[1] += elapsed_ns
-
-    @staticmethod
-    def _classify(func: Any, owner: Any) -> Tuple[str, str, Optional[str]]:
-        """(kind, site, static component) for one callback function.
-
-        The static component is ``None`` when it depends on the owner
-        instance (process/signal names, model class names) and must be
-        resolved per call.
-        """
-        module = getattr(func, "__module__", None) or "?"
-        qualname = getattr(func, "__qualname__", None) or repr(func)
-        site = f"{module}.{qualname}"
-        if owner is None:
-            return "function", site, module.rsplit(".", 1)[-1]
-        if isinstance(owner, Process):
-            return "process", site, None
-        if isinstance(owner, Signal):
-            return "signal", site, None
-        return "method", site, None
-
-    # -- results ------------------------------------------------------------
-
-    @property
-    def window_ns(self) -> int:
-        """Wall nanoseconds of the (possibly still open) window."""
-        if self._t_start is not None:
-            return self._window_ns + self.clock() - self._t_start
-        return self._window_ns
+    def sample(self, frame: Optional[FrameType]) -> None:
+        """Charge one sample to the stack ending at ``frame``."""
+        self.samples += 1
+        key = _classify(frame)
+        if key is not None:
+            self.sites[key] += 1
 
     def report(self, label: str = "") -> ProfileReport:
-        """Snapshot the buckets into a rankable report."""
-        entries = [ProfileEntry(component, kind, site, calls, wall_ns)
-                   for (component, kind, site), (calls, wall_ns)
-                   in self._buckets.items()]
-        return ProfileReport(entries, self.window_ns, self.engines,
-                             label=label)
-
-    def clear(self) -> None:
-        """Drop all buckets, the window, and the engine count."""
-        self._buckets.clear()
-        self._sites.clear()
-        self._window_ns = 0
-        self._t_start = None
-        self._last_ns = None
-        self.engines = 0
+        return ProfileReport(self.samples, self.sites, label=label)

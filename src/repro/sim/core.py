@@ -271,9 +271,9 @@ class Process:
         counted.  Because every observable the scheduler maintains
         (``(time, sequence)`` order, ``events_processed``, ``now_ps`` at
         each resume) is preserved, a batched run is bit-identical to the
-        reference scheduler by construction.  Batching is disabled when a
-        profiler wants per-event records or a ``max_events`` bound is
-        counting steps (see :attr:`Engine._batch`).
+        reference scheduler by construction.  Batching is disabled while
+        a ``max_events`` bound is counting steps (see
+        :attr:`Engine._batch`).
         """
         engine = self.engine
         generator = self.generator
@@ -425,12 +425,10 @@ class Engine:
         self._cancelled: Set[int] = set()
         self.events_processed = 0
         #: Batch-advance gate for the :class:`Process` trampoline: true
-        #: only when this is a fast-dispatch engine, no profiler wants
-        #: per-event records, and no ``max_events`` bound is counting
-        #: individual steps.  Kept as one precomputed flag so the
-        #: trampoline check is a single attribute load.
+        #: only when this is a fast-dispatch engine and no ``max_events``
+        #: bound is counting individual steps.  Kept as one precomputed
+        #: flag so the trampoline check is a single attribute load.
         self._batch = self.fast_dispatch
-        self._batch_inhibit = False
         #: Clock bound for batch-advance; ``run(until_ps=...)`` lowers it
         #: so a batched delay never carries the clock past the bound.
         self._horizon = _NO_HORIZON
@@ -451,13 +449,6 @@ class Engine:
         #: (the default) every fault path is skipped entirely, so an
         #: un-faulted run is picosecond-identical to an unhooked one.
         self.faults = None
-        #: Optional dispatch profiler (repro.obs.profile.EngineProfiler),
-        #: held behind a property: installing one routes :meth:`step`
-        #: through the timed dispatch body *and* turns batch-advance off
-        #: so every event gets its own attribution record.  The event
-        #: order is identical either way (profiling is wall-clock
-        #: bookkeeping only — it never touches simulated time).
-        self._profiler = None
         #: Passive waits armed on this engine (insertion-ordered keys,
         #: e.g. :class:`repro.hw.memory.WordWatch`).  A process parked on
         #: one has no queued event, so a run that drains while any is
@@ -470,22 +461,6 @@ class Engine:
         """Emit a trace event if a tracer is installed (cheap when not)."""
         if self.tracer is not None:
             self.tracer.emit(self._now_ps, component, kind, **detail)
-
-    # -- dispatch-mode plumbing --------------------------------------------
-
-    @property
-    def profiler(self):
-        """The installed :class:`~repro.obs.profile.EngineProfiler` or None."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        self._refresh_batch()
-
-    def _refresh_batch(self) -> None:
-        self._batch = (self.fast_dispatch and self._profiler is None
-                       and not self._batch_inhibit)
 
     # -- time --------------------------------------------------------------
 
@@ -579,8 +554,6 @@ class Engine:
         may execute more than one *event* when batch-advance is active —
         ``events_processed`` is the authoritative event count.
         """
-        if self._profiler is not None:
-            return self._step_profiled()
         ready = self._ready
         heap = self._heap
         cancelled = self._cancelled
@@ -601,43 +574,6 @@ class Engine:
             self._now_ps = time_ps
             self.events_processed += 1
             callback(*args)
-            return True
-
-    def _step_profiled(self) -> bool:
-        """The :meth:`step` body with wall-clock dispatch timing.
-
-        A deliberate copy of :meth:`step` (same pop logic, same event
-        order) so the unprofiled hot path pays nothing beyond the single
-        ``profiler is not None`` check.  The whole step — queue pop plus
-        callback — is attributed to the callback, so the only dispatch
-        time a profiled run cannot attribute is the ``run()`` loop frame
-        itself.  Batch-advance is off whenever a profiler is installed
-        (see :attr:`profiler`), so every event gets its own record.
-        """
-        profiler = self._profiler
-        clock = profiler.clock
-        ready = self._ready
-        heap = self._heap
-        cancelled = self._cancelled
-        t0 = clock()
-        while True:
-            if ready and (not heap or heap[0][0] > self._now_ps
-                          or heap[0][1] > ready[0][0]):
-                seq, callback, args = ready.popleft()
-                time_ps = self._now_ps
-            elif heap:
-                time_ps, seq, callback, args = heapq.heappop(heap)
-            else:
-                if cancelled:
-                    cancelled.clear()
-                return False
-            if cancelled and seq in cancelled:
-                cancelled.discard(seq)
-                continue
-            self._now_ps = time_ps
-            self.events_processed += 1
-            callback(*args)
-            profiler.record(callback, t0, clock())
             return True
 
     def run(self, until_ps: Optional[int] = None,
@@ -655,32 +591,28 @@ class Engine:
             # Unbounded drain — the hot case.  Fused dispatch loop: the
             # step() body inlined with the queues bound to locals, one
             # Python frame for the whole run instead of one per event.
-            if self._profiler is None:
-                ready = self._ready
-                heap = self._heap
-                cancelled = self._cancelled
-                pop_ready = ready.popleft
-                heappop = heapq.heappop
-                while True:
-                    if ready and (not heap or heap[0][0] > self._now_ps
-                                  or heap[0][1] > ready[0][0]):
-                        seq, callback, args = pop_ready()
-                        time_ps = self._now_ps
-                    elif heap:
-                        time_ps, seq, callback, args = heappop(heap)
-                    else:
-                        break
-                    if cancelled and seq in cancelled:
-                        cancelled.discard(seq)
-                        continue
-                    self._now_ps = time_ps
-                    self.events_processed += 1
-                    callback(*args)
-                if cancelled:
-                    cancelled.clear()
-                return self._now_ps
-            while self.step():
-                pass
+            ready = self._ready
+            heap = self._heap
+            cancelled = self._cancelled
+            pop_ready = ready.popleft
+            heappop = heapq.heappop
+            while True:
+                if ready and (not heap or heap[0][0] > self._now_ps
+                              or heap[0][1] > ready[0][0]):
+                    seq, callback, args = pop_ready()
+                    time_ps = self._now_ps
+                elif heap:
+                    time_ps, seq, callback, args = heappop(heap)
+                else:
+                    break
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                self._now_ps = time_ps
+                self.events_processed += 1
+                callback(*args)
+            if cancelled:
+                cancelled.clear()
             return self._now_ps
         # Bounded run.  An until_ps bound lowers the batch-advance horizon
         # so a batched delay cannot carry the clock past it; a max_events
@@ -689,8 +621,7 @@ class Engine:
         if until_ps is not None:
             self._horizon = until_ps
         if max_events is not None:
-            self._batch_inhibit = True
-            self._refresh_batch()
+            self._batch = False
         try:
             processed = 0
             while True:
@@ -720,8 +651,7 @@ class Engine:
             if until_ps is not None:
                 self._horizon = _NO_HORIZON
             if max_events is not None:
-                self._batch_inhibit = False
-                self._refresh_batch()
+                self._batch = self.fast_dispatch
 
     def run_all(self, procs: Sequence[Process]) -> int:
         """Run the engine until every process in ``procs`` is done.
@@ -745,35 +675,29 @@ class Engine:
         and every armed watch (:attr:`watches`) if the queues drain
         first.
         """
-        if self._profiler is None:
-            # Fused dispatch loop; see run() for the rationale.
-            ready = self._ready
-            heap = self._heap
-            cancelled = self._cancelled
-            pop_ready = ready.popleft
-            heappop = heapq.heappop
-            for proc in procs:
-                while not proc.done:
-                    if ready and (not heap or heap[0][0] > self._now_ps
-                                  or heap[0][1] > ready[0][0]):
-                        seq, callback, args = pop_ready()
-                        time_ps = self._now_ps
-                    elif heap:
-                        time_ps, seq, callback, args = heappop(heap)
-                    else:
-                        cancelled.clear()
-                        raise self._deadlock(procs)
-                    if cancelled and seq in cancelled:
-                        cancelled.discard(seq)
-                        continue
-                    self._now_ps = time_ps
-                    self.events_processed += 1
-                    callback(*args)
-        else:
-            for proc in procs:
-                while not proc.done:
-                    if not self.step():
-                        raise self._deadlock(procs)
+        # Fused dispatch loop; see run() for the rationale.
+        ready = self._ready
+        heap = self._heap
+        cancelled = self._cancelled
+        pop_ready = ready.popleft
+        heappop = heapq.heappop
+        for proc in procs:
+            while not proc.done:
+                if ready and (not heap or heap[0][0] > self._now_ps
+                              or heap[0][1] > ready[0][0]):
+                    seq, callback, args = pop_ready()
+                    time_ps = self._now_ps
+                elif heap:
+                    time_ps, seq, callback, args = heappop(heap)
+                else:
+                    cancelled.clear()
+                    raise self._deadlock(procs)
+                if cancelled and seq in cancelled:
+                    cancelled.discard(seq)
+                    continue
+                self._now_ps = time_ps
+                self.events_processed += 1
+                callback(*args)
         return self._now_ps
 
     def _deadlock(self, procs: Sequence[Process]) -> SimulationError:

@@ -9,7 +9,17 @@ from repro.bench.history import (DEFAULT_OVERHEAD_BUDGET, DEFAULT_THRESHOLD,
                                  HISTORY_SCHEMA, append_run,
                                  check_against_baseline, experiment_stats,
                                  load_history, render_dashboard,
-                                 validate_perf_doc)
+                                 validate_perf_doc, validate_profile_doc)
+
+
+def profile_doc():
+    """A minimal but schema-complete tca-bench-profile/2 report."""
+    return {
+        "schema": "tca-bench-profile/2", "label": "fig9", "samples": 40,
+        "attributed_fraction": 1.0, "layers": {"sim": 0.75, "pcie": 0.25},
+        "hotspots": [{"layer": "sim", "samples": 30, "share": 0.75,
+                      "site": "repro.sim.core.Process._step"}],
+    }
 
 
 def perf_doc(bare_eps=100_000.0, overhead=2.0, name="fig9"):
@@ -219,10 +229,7 @@ class TestDashboard:
                      "anchors": [{"name": "a", "section": "§V",
                                   "paper": 1.0, "measured": 1.0,
                                   "status": "pass"}]}
-        profiles = {"fig9": {"hotspots": [
-            {"component": "flow", "kind": "process", "calls": 10,
-             "wall_ns": 5_000_000,
-             "site": "repro.sim.core.Process._step"}]}}
+        profiles = {"fig9": profile_doc()}
         full = render_dashboard(history=self._history(),
                                 perf_doc=perf_doc(),
                                 gate=check_against_baseline(perf_doc(),
@@ -309,3 +316,58 @@ class TestValidatePerfDoc:
                    "--perf-json", str(bad)])
         assert rc == 2
         assert "regenerate" in capsys.readouterr().err
+
+
+class TestValidateProfileDoc:
+    """Malformed profile documents get one-line errors, not KeyErrors."""
+
+    def test_valid_document_passes(self):
+        assert validate_profile_doc({"fig9": profile_doc()}) is None
+
+    def test_v1_document_rejected(self):
+        doc = {"fig9": {"schema": "tca-bench-profile/1", "hotspots": [
+            {"component": "flow", "kind": "process", "calls": 10,
+             "wall_ns": 5_000_000, "site": "x"}]}}
+        problem = validate_profile_doc(doc)
+        assert "'tca-bench-profile/1'" in problem and "regenerate" in problem
+
+    def test_truncated_hotspot_rejected(self):
+        doc = profile_doc()
+        doc["hotspots"] = [{}]
+        problem = validate_profile_doc({"fig9": doc})
+        assert "hotspots[0]" in problem and "site" in problem
+
+    @pytest.mark.parametrize("doc", [
+        {"fig7": {"schema": "tca-bench-profile/1", "window_ns": 1,
+                  "hotspots": [{"component": "flow", "wall_ns": 1}]}},
+        {"fig7": {"hotspots": [{}]}},
+        {"fig7": dict(profile_doc(), hotspots=[{}])},
+        {"fig7": dict(profile_doc(), layers={"sim": "most"})},
+        {"fig7": dict(profile_doc(), samples=None)},
+        [profile_doc()],
+        "text",
+        {},
+    ], ids=["v1", "no-schema", "truncated-hotspot", "bad-share", "no-samples",
+            "list", "string", "empty"])
+    def test_report_rejects_malformed_profile_json(self, tmp_path, capsys,
+                                                   doc):
+        bad = tmp_path / "profile.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["report", "--html", str(tmp_path / "d.html"),
+                   "--profile-json", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "regenerate" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "d.html").exists()
+
+    def test_report_accepts_perf_profile_json_output(self, tmp_path):
+        good = tmp_path / "profile.json"
+        good.write_text(json.dumps({"profile": {"fig9": profile_doc()}}))
+        out = tmp_path / "d.html"
+        rc = main(["report", "--html", str(out),
+                   "--profile-json", str(good)])
+        assert rc == 0
+        page = out.read_text()
+        assert "Top hotspots" in page and "sim 75.0%" in page
+        assert "repro.sim.core.Process._step" in page

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import Delay, Engine, Signal, all_of
+from repro.sim.core import Delay, Engine, Signal, all_of, dispatch_mode
 from repro.units import ns
 
 
@@ -55,6 +55,30 @@ def test_run_max_events(engine):
         engine.after(1, lambda: count.__setitem__(0, count[0] + 1))
     engine.run(max_events=2)
     assert count[0] == 2
+
+
+def test_max_events_suspends_batching_only_while_it_runs(engine):
+    seen = []
+    engine.call_soon(lambda: seen.append(engine._batch))
+    engine.run(max_events=1)
+    assert seen == [False]
+    assert engine._batch is True
+
+    def fail():
+        raise RuntimeError("callback failed")
+
+    engine.call_soon(fail)
+    with pytest.raises(RuntimeError):
+        engine.run(max_events=5)
+    assert engine._batch is True
+
+    with dispatch_mode("reference"):
+        reference = Engine()
+    assert reference._batch is False
+    reference.call_soon(fail)
+    with pytest.raises(RuntimeError):
+        reference.run(max_events=5)
+    assert reference._batch is False
 
 
 def test_step_on_empty_heap_returns_false(engine):

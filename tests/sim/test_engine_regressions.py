@@ -17,7 +17,6 @@ import random
 import pytest
 
 from repro.errors import SimulationError
-from repro.obs.profile import EngineProfiler
 from repro.sim.core import Engine, Signal, dispatch_mode, first_of
 
 
@@ -330,17 +329,8 @@ def _reference_engine():
     return engine
 
 
-def _profiled_engine():
-    engine = Engine()
-    profiler = EngineProfiler()
-    profiler.install(engine)
-    profiler.start()
-    return engine
-
-
 ENGINES = pytest.mark.parametrize(
-    "make_engine", [Engine, _reference_engine, _profiled_engine],
-    ids=["fast", "reference", "profiled"])
+    "make_engine", [Engine, _reference_engine], ids=["fast", "reference"])
 
 
 class TestRunAllStopPoint:
