@@ -42,6 +42,7 @@ class EgressQueue:
         self.port = port
         self.residual_latency_ps = max(0, residual_latency_ps)
         self.name = name or f"{port.name}.egress"
+        self.capacity = capacity
         self.store = Store(engine, capacity=capacity, name=self.name)
         self.tlps_emitted = 0
         #: Packets abandoned because the output link died (faulted runs).
@@ -52,6 +53,23 @@ class EgressQueue:
         self._bound_metrics = None
         self._m_depth = None
         engine.process(self._emitter(), name=f"{self.name}.emit")
+
+    @property
+    def free_slots(self) -> int:
+        """Queue slots not taken by a waiting TLP."""
+        return self.store.free_slots
+
+    @property
+    def injections_waiting(self) -> int:
+        """Injections held back by the bubble rule right now."""
+        return len(self._injection_waiters)
+
+    @property
+    def idle(self) -> bool:
+        """True when nothing is queued, emitting, blocked or held."""
+        return (len(self.store) == 0 and not self.store._putters
+                and not self._injection_waiters
+                and bool(self.store._getters))
 
     def _sample_depth(self) -> None:
         """Time-weighted egress depth sample (cheap no-op when metrics off)."""

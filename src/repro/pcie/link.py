@@ -130,6 +130,24 @@ class _Direction:
     def _on_drained(self) -> None:
         self.credits.release()
 
+    @property
+    def credits_free(self) -> int:
+        """Flow-control credits not held by a TLP right now."""
+        return self.credits.available
+
+    @property
+    def credit_limit(self) -> int:
+        """Size of the credit pool (the sink port's ingress buffer)."""
+        return self.credits.capacity
+
+    @property
+    def idle(self) -> bool:
+        """True when no TLP is queued, serializing, waiting for a credit
+        or in flight, and every credit is back."""
+        return (len(self.tx) == 0 and not self.tx._putters
+                and bool(self.tx._getters)
+                and self.credits.available == self.credits.capacity)
+
     def _drop(self, tlp: TLP, where: str) -> None:
         self.tlps_dropped += 1
         if self.engine.tracer is not None:

@@ -66,6 +66,11 @@ class Port:
         """True once a link is attached and trained."""
         return self.link is not None
 
+    @property
+    def idle(self) -> bool:
+        """True when no delivered TLP waits and no handler is running."""
+        return len(self.ingress) == 0 and bool(self.ingress._getters)
+
     def attach(self, link: "PCIeLink") -> None:
         """Called by :class:`PCIeLink` when the cable is plugged in."""
         if self.link is not None:

@@ -98,7 +98,7 @@ class TestBubbleFlowControl:
         for _ in range(3):
             queue.submit(tlp())
         engine.run(until_ps=1)
-        assert queue.store.free_slots == 1
+        assert queue.free_slots == 1
         # Bubble rule: injection must wait, transit may take the slot.
         held = queue.submit_injection(tlp())
         assert not held.fired
