@@ -23,7 +23,7 @@ from __future__ import annotations
 
 #: A port queued a packet on its attached link (instant, at egress).
 TLP_SENT = "tlp-sent"
-#: A port's ingress loop picked a delivered packet up (instant).
+#: A port handed a delivered packet to its device's handler (instant).
 TLP_RECV = "tlp-recv"
 #: One packet finished wire serialization on a link direction (span).
 LINK_TX = "link-tx"

@@ -28,9 +28,9 @@ def allocate_device_id() -> DeviceId:
 class Device:
     """Base class: owns ports and handles the packets they deliver.
 
-    Subclasses implement :meth:`handle_tlp`.  The port machinery calls it
-    once per ingested packet, *after* the packet has cleared the ingress
-    queue (so queue backpressure is already applied).
+    Subclasses implement :meth:`handle_tlp`.  The port calls it once per
+    delivered packet, in arrival order, after returning the packet's
+    flow-control credit to the feeding link.
     """
 
     def __init__(self, engine: Engine, name: str):
@@ -41,8 +41,14 @@ class Device:
     def handle_tlp(self, port: "Port", tlp: TLP):  # pragma: no cover - abstract
         """Consume one packet delivered on ``port``.
 
-        May return a generator to be run as a process (for multi-step
-        handling), or None for instantaneous handling.
+        Return None for instantaneous handling, or a generator for
+        multi-step handling.  The port drives the generator inline — no
+        process is spawned — and it may yield only an ``int`` delay
+        (resume that many picoseconds later) or a
+        :class:`~repro.sim.core.Signal` (resume when it fires, with its
+        value); anything else raises :class:`SimulationError` naming the
+        port.  The port's next packet waits until the generator returns,
+        which is PCIe's per-link ordering.
         """
         raise NotImplementedError
 

@@ -25,15 +25,15 @@ after the link died, and queued TLPs die at the transmitter.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Deque, Optional, Tuple
 
 from repro.errors import LinkError
 from repro.pcie.gen import PCIeGen, link_bytes_per_ps
 from repro.pcie.port import Port, PortRole
 from repro.pcie.tlp import TLP
 from repro.sim.core import Engine, Signal
-from repro.sim.queues import Resource, Store
 from repro.units import transfer_ps
 
 
@@ -67,8 +67,33 @@ class LinkParams:
         return link_bytes_per_ps(self.gen, self.lanes)
 
 
+#: ``busy_until_ps`` of a transmitter inside the fault path: it stays
+#: occupied until its TLP's NAK/replay sequence ends, whenever that is.
+_OCCUPIED = 1 << 200
+
+
 class _Direction:
-    """One simplex half of a link: tx queue, wire, credits, delivery."""
+    """One simplex half of a link: tx FIFO, wire, credits, delivery.
+
+    A callback state machine, not a process.  Its state is plain: the
+    tx FIFO of accepted TLPs, ``busy_until_ps`` (the end of the current
+    serialization), the free credit count, and the TLP the transmitter
+    holds while it waits for a credit.  A TLP that finds the transmitter
+    free and a credit available starts serializing inline and schedules
+    only its delivery, ``serialize + latency_ps`` later.  Otherwise it
+    waits in the FIFO; the end of the serialization ahead of it (one
+    wake-up event) or the credit the sink returns starts it.  A sender
+    blocks only when the FIFO is full, and the TLP leaving the FIFO
+    admits it.
+
+    A fault-free TLP counts as carried when its serialization *ends*.
+    With no event at that instant, the counters, the ``link-tx`` record
+    and the busy gauge are settled lazily, stamped with the explicit end
+    time: by the next serialization, by the delivery, or by a counter
+    read, whichever comes first.  While ``engine.faults`` is set each
+    serialization instead ends in an event that draws the link verdict
+    there, as the NAK/replay path needs.
+    """
 
     def __init__(self, engine: Engine, name: str, source: Port, sink: Port,
                  params: LinkParams, link: "PCIeLink"):
@@ -78,22 +103,29 @@ class _Direction:
         self.sink = sink
         self.params = params
         self.link = link
-        self.tx = Store(engine, capacity=params.tx_queue_tlps,
-                        name=f"{name}.tx")
-        # Credits mirror the *sink's* actual ingress buffer so the
-        # guaranteed-space invariant in _deliver holds.
-        credit_count = sink.ingress.capacity or params.rx_credits
-        self.credits = Resource(engine, credit_count, name=f"{name}.fc")
-        #: Goodput: framed bytes / TLPs accepted onto the wire toward
-        #: delivery — each TLP counts **once**, however many times the DLL
-        #: had to retransmit it.
-        self.bytes_carried = 0
-        self.tlps_carried = 0
-        #: Wire traffic: framed bytes / TLPs serialized, **including**
-        #: every NAK/replay retransmission.  ``wire - carried`` is the
-        #: bandwidth the DLL burned on reliability.
-        self.wire_bytes_carried = 0
-        self.wire_tlps_carried = 0
+        self.tx_capacity = params.tx_queue_tlps
+        self._queue: Deque[TLP] = deque()
+        self._putters: Deque[Tuple[Signal, TLP]] = deque()
+        # Returned by every transmit accepted at once (nobody ever waits
+        # on a fired signal, so one instance serves them all).
+        self._accepted = Signal.fired_signal(engine, f"{name}.tx.put")
+        #: Simulated time the current serialization ends.
+        self.busy_until_ps = 0
+        self._wake_pending = False
+        # Taken from the FIFO by the transmitter, waiting for a credit.
+        self._held: Optional[TLP] = None
+        #: Credits mirror the *sink's* receive buffer, so a delivered TLP
+        #: always finds space there.
+        self.credit_limit = sink.rx_credits
+        self.credits_free = self.credit_limit
+        # The fault-free serialization not yet counted, and its timing.
+        self._on_wire: Optional[TLP] = None
+        self._on_wire_end_ps = 0
+        self._on_wire_ps = 0
+        self._bytes_carried = 0
+        self._tlps_carried = 0
+        self._wire_bytes_carried = 0
+        self._wire_tlps_carried = 0
         #: TLPs that died with the link (queued or in flight at take_down).
         self.tlps_dropped = 0
         #: DLL retransmissions (NAK'd + replay-timer expirations).
@@ -113,9 +145,8 @@ class _Direction:
         self._m_bytes = None
         self._m_wire_tlps = None
         self._m_wire_bytes = None
-        engine.process(self._transmitter(), name=f"{name}.xmit")
         # Return a credit whenever the sink device drains one packet.
-        sink.ingress_drained = self._on_drained
+        sink.ingress_drained = self._release_credit
 
     def _bind_metrics(self, registry) -> None:
         """(Re)bind per-TLP instrument handles to ``registry``."""
@@ -127,26 +158,169 @@ class _Direction:
         self._m_wire_tlps = registry.counter(f"link.{name}.wire_tlps")
         self._m_wire_bytes = registry.counter(f"link.{name}.wire_bytes")
 
-    def _on_drained(self) -> None:
-        self.credits.release()
+    # -- counters (settled on read) -------------------------------------------
+
+    def _settle_due(self) -> None:
+        if (self._on_wire is not None
+                and self._on_wire_end_ps <= self.engine.now_ps):
+            self._settle()
 
     @property
-    def credits_free(self) -> int:
-        """Flow-control credits not held by a TLP right now."""
-        return self.credits.available
+    def bytes_carried(self) -> int:
+        """Goodput: framed bytes accepted onto the wire toward delivery —
+        each TLP counts **once**, however many times the DLL had to
+        retransmit it."""
+        self._settle_due()
+        return self._bytes_carried
 
     @property
-    def credit_limit(self) -> int:
-        """Size of the credit pool (the sink port's ingress buffer)."""
-        return self.credits.capacity
+    def tlps_carried(self) -> int:
+        """Goodput: TLPs whose serialization toward delivery ended."""
+        self._settle_due()
+        return self._tlps_carried
+
+    @property
+    def wire_bytes_carried(self) -> int:
+        """Wire traffic: framed bytes serialized, **including** every
+        NAK/replay retransmission (``wire - carried`` is the bandwidth
+        the DLL burned on reliability)."""
+        self._settle_due()
+        return self._wire_bytes_carried
+
+    @property
+    def wire_tlps_carried(self) -> int:
+        """Wire traffic: serializations, replays included."""
+        self._settle_due()
+        return self._wire_tlps_carried
 
     @property
     def idle(self) -> bool:
         """True when no TLP is queued, serializing, waiting for a credit
         or in flight, and every credit is back."""
-        return (len(self.tx) == 0 and not self.tx._putters
-                and bool(self.tx._getters)
-                and self.credits.available == self.credits.capacity)
+        return (not self._queue and not self._putters and self._held is None
+                and self.busy_until_ps <= self.engine.now_ps
+                and self.credits_free == self.credit_limit)
+
+    def __str__(self) -> str:
+        return (f"link {self.name} waiting for credit "
+                f"({self.credits_free}/{self.credit_limit} free)")
+
+    # -- transmit side ---------------------------------------------------------
+
+    def transmit(self, tlp: TLP) -> Signal:
+        """Accept ``tlp``: start it now, queue it, or block the sender."""
+        if (self._held is None and not self._queue
+                and self.busy_until_ps <= self.engine.now_ps):
+            self._start(tlp)
+            return self._accepted
+        queue = self._queue
+        if len(queue) < self.tx_capacity:
+            queue.append(tlp)
+            if (not self._wake_pending and self._held is None
+                    and self.busy_until_ps != _OCCUPIED):
+                # Wake the transmitter when the serialization ahead ends.
+                self._wake_pending = True
+                self.engine.at(self.busy_until_ps, self._wake)
+            return self._accepted
+        accepted = Signal(self.engine, f"{self.name}.tx.put")
+        self._putters.append((accepted, tlp))
+        return accepted
+
+    def _wake(self) -> None:
+        self._wake_pending = False
+        self._next()
+
+    def _next(self) -> None:
+        """The transmitter is free: take the next queued TLP, if any."""
+        queue = self._queue
+        while queue:
+            tlp = queue.popleft()
+            if self._putters:
+                accepted, waiting = self._putters.popleft()
+                queue.append(waiting)
+                accepted.fire()
+            if self.link.up:
+                self._start(tlp)
+                return
+            # The cable died while this packet sat in the tx queue.
+            self._drop(tlp, where="tx-queue")
+
+    def _start(self, tlp: TLP) -> None:
+        """The free transmitter takes ``tlp``: serialize it if a credit
+        is free, else hold it until the sink returns one."""
+        if self.credits_free:
+            self.credits_free -= 1
+            self._serialize(tlp)
+        else:
+            self._held = tlp
+            self.engine.watches[self] = None
+
+    def _release_credit(self) -> None:
+        """The sink drained one packet (or one died): a credit is back."""
+        tlp = self._held
+        if tlp is None:
+            self.credits_free += 1
+            return
+        self._held = None
+        del self.engine.watches[self]
+        self._serialize(tlp)
+
+    def _serialize(self, tlp: TLP) -> None:
+        engine = self.engine
+        now = engine.now_ps
+        wire_bytes = tlp.wire_bytes
+        serialize_ps = self._serialize_ps.get(wire_bytes)
+        if serialize_ps is None:
+            serialize_ps = transfer_ps(wire_bytes, self.params.bytes_per_ps)
+            self._serialize_ps[wire_bytes] = serialize_ps
+        if self._on_wire is not None:
+            self._settle()  # ended no later than now: the wire was free
+        metrics = engine.metrics
+        if metrics is not None:
+            if metrics is not self._bound_metrics:
+                self._bind_metrics(metrics)
+            self._m_busy.set(1, now)
+        epoch = self.link.epoch
+        if engine.faults is not None:
+            self.busy_until_ps = _OCCUPIED
+            engine.after(serialize_ps, self._serialized, tlp, epoch,
+                         serialize_ps)
+            return
+        end = now + serialize_ps
+        self.busy_until_ps = end
+        self._on_wire = tlp
+        self._on_wire_end_ps = end
+        self._on_wire_ps = serialize_ps
+        engine.at(end + self.params.latency_ps, self._deliver, tlp, epoch)
+        if self._queue:
+            self._wake_pending = True
+            engine.at(end, self._wake)
+
+    def _settle(self) -> None:
+        """Count the fault-free serialization that ended at
+        ``_on_wire_end_ps``; observation is stamped with that time."""
+        tlp = self._on_wire
+        self._on_wire = None
+        end = self._on_wire_end_ps
+        wire_bytes = tlp.wire_bytes
+        self._wire_bytes_carried += wire_bytes
+        self._wire_tlps_carried += 1
+        self._bytes_carried += wire_bytes
+        self._tlps_carried += 1
+        engine = self.engine
+        tracer = engine.tracer
+        if tracer is not None:
+            tracer.emit(end, self.name, "link-tx", dur_ps=self._on_wire_ps,
+                        bytes=wire_bytes, tlp=tlp.kind.value)
+        metrics = engine.metrics
+        if metrics is not None:
+            if metrics is not self._bound_metrics:
+                self._bind_metrics(metrics)
+            self._m_busy.set(0, end)
+            self._m_wire_tlps.inc()
+            self._m_wire_bytes.inc(wire_bytes)
+            self._m_tlps.inc()
+            self._m_bytes.inc(wire_bytes)
 
     def _drop(self, tlp: TLP, where: str) -> None:
         self.tlps_dropped += 1
@@ -156,107 +330,92 @@ class _Direction:
         if self.engine.metrics is not None:
             self.engine.metrics.counter(f"link.{self.name}.dropped").inc()
 
-    def _transmitter(self):
-        # The replay loop runs inline in the transmitter: the direction
-        # is occupied for the whole NAK/replay sequence of one TLP, which
-        # keeps delivery strictly in order (the replay buffer retransmits
-        # before anything younger may pass) — and, when no fault fires,
-        # the event sequence is identical to a replay-free transmitter.
+    # -- fault path: one event per serialization end ---------------------------
+
+    def _serialized(self, tlp: TLP, epoch: int, serialize_ps: int) -> None:
+        # The replay sequence runs while the transmitter stays occupied,
+        # which keeps delivery strictly in order (the replay buffer
+        # retransmits before anything younger may pass).
         engine = self.engine
-        bytes_per_ps = self.params.bytes_per_ps
-        latency_ps = self.params.latency_ps
-        link = self.link
-        tx_get = self.tx.get
-        acquire_credit = self.credits.acquire
-        serialize_cache = self._serialize_ps
-        while True:
-            tlp = yield tx_get()
-            if not link.up:
-                # The cable died while this packet sat in the tx queue.
-                self._drop(tlp, where="tx-queue")
-                continue
-            yield acquire_credit()
-            epoch = link.epoch
-            wire_bytes = tlp.wire_bytes
-            serialize_ps = serialize_cache.get(wire_bytes)
-            if serialize_ps is None:
-                serialize_ps = transfer_ps(wire_bytes, bytes_per_ps)
-                serialize_cache[wire_bytes] = serialize_ps
-            while True:
-                metrics = engine.metrics
-                if metrics is not None:
-                    if metrics is not self._bound_metrics:
-                        self._bind_metrics(metrics)
-                    self._m_busy.set(1, engine.now_ps)
-                yield serialize_ps
-                self.wire_bytes_carried += wire_bytes
-                self.wire_tlps_carried += 1
-                tracer = engine.tracer
-                if tracer is not None:
-                    tracer.emit(engine.now_ps, self.name, "link-tx",
-                                dur_ps=serialize_ps,
-                                bytes=wire_bytes,
-                                tlp=tlp.kind.value)
-                metrics = engine.metrics
-                if metrics is not None:
-                    if metrics is not self._bound_metrics:
-                        self._bind_metrics(metrics)
-                    self._m_busy.set(0, engine.now_ps)
-                    self._m_wire_tlps.inc()
-                    self._m_wire_bytes.inc(wire_bytes)
+        wire_bytes = tlp.wire_bytes
+        self._wire_bytes_carried += wire_bytes
+        self._wire_tlps_carried += 1
+        tracer = engine.tracer
+        if tracer is not None:
+            tracer.emit(engine.now_ps, self.name, "link-tx",
+                        dur_ps=serialize_ps, bytes=wire_bytes,
+                        tlp=tlp.kind.value)
+        metrics = engine.metrics
+        if metrics is not None:
+            if metrics is not self._bound_metrics:
+                self._bind_metrics(metrics)
+            self._m_busy.set(0, engine.now_ps)
+            self._m_wire_tlps.inc()
+            self._m_wire_bytes.inc(wire_bytes)
+        faults = engine.faults
+        verdict = "ok" if faults is None else faults.link_verdict(self.name)
+        if verdict == "ok":
+            self._bytes_carried += wire_bytes
+            self._tlps_carried += 1
+            if metrics is not None:
+                self._m_tlps.inc()
+                self._m_bytes.inc(wire_bytes)
+            engine.after(self.params.latency_ps, self._deliver, tlp, epoch)
+            self.busy_until_ps = engine.now_ps
+            self._next()
+            return
+        # The TLP never gets ACK'd: pay the detection cost, then
+        # retransmit from the replay buffer.
+        self.replays += 1
+        if verdict == "corrupt":
+            self.naks += 1
+            if engine.tracer is not None:
+                engine.trace(self.name, "link-nak", tlp=tlp.kind.value)
+            if engine.metrics is not None:
+                engine.metrics.counter(f"link.{self.name}.naks").inc()
+            # Corrupted TLP reaches the receiver (latency), fails the
+            # LCRC check, the NAK DLLP travels back (latency).
+            wait_ps = 2 * self.params.latency_ps + self.params.nak_processing_ps
+        else:  # dropped on the wire: only the replay timer notices
+            if engine.tracer is not None:
+                engine.trace(self.name, "link-replay-timeout",
+                             tlp=tlp.kind.value)
+            wait_ps = self.params.replay_timeout_ps
+        engine.after(wait_ps, self._replayed, tlp, epoch, serialize_ps)
 
-                faults = engine.faults
-                verdict = ("ok" if faults is None
-                           else faults.link_verdict(self.name))
-                if verdict == "ok":
-                    self.bytes_carried += wire_bytes
-                    self.tlps_carried += 1
-                    if metrics is not None:
-                        self._m_tlps.inc()
-                        self._m_bytes.inc(wire_bytes)
-                    engine.after(latency_ps, self._deliver, tlp, epoch)
-                    break
+    def _replayed(self, tlp: TLP, epoch: int, serialize_ps: int) -> None:
+        engine = self.engine
+        if engine.metrics is not None:
+            engine.metrics.counter(f"link.{self.name}.replays").inc()
+        if not self.link.up or self.link.epoch != epoch:
+            # The link died mid-replay; the sink will never drain this
+            # packet, so its flow-control credit comes back here.
+            self._drop(tlp, where="replay")
+            self.credits_free += 1
+            self.busy_until_ps = engine.now_ps
+            self._next()
+            return
+        metrics = engine.metrics
+        if metrics is not None:
+            if metrics is not self._bound_metrics:
+                self._bind_metrics(metrics)
+            self._m_busy.set(1, engine.now_ps)
+        engine.after(serialize_ps, self._serialized, tlp, epoch,
+                     serialize_ps)
 
-                # The TLP never gets ACK'd: pay the detection cost, then
-                # retransmit from the replay buffer.
-                self.replays += 1
-                if verdict == "corrupt":
-                    self.naks += 1
-                    if self.engine.tracer is not None:
-                        self.engine.trace(self.name, "link-nak",
-                                          tlp=tlp.kind.value)
-                    if self.engine.metrics is not None:
-                        self.engine.metrics.counter(
-                            f"link.{self.name}.naks").inc()
-                    # Corrupted TLP reaches the receiver (latency), fails
-                    # the LCRC check, the NAK DLLP travels back (latency).
-                    yield (2 * self.params.latency_ps
-                           + self.params.nak_processing_ps)
-                else:  # dropped on the wire: only the replay timer notices
-                    if self.engine.tracer is not None:
-                        self.engine.trace(self.name, "link-replay-timeout",
-                                          tlp=tlp.kind.value)
-                    yield self.params.replay_timeout_ps
-                if self.engine.metrics is not None:
-                    self.engine.metrics.counter(
-                        f"link.{self.name}.replays").inc()
-                if not self.link.up or self.link.epoch != epoch:
-                    # The link died mid-replay; the sink will never drain
-                    # this packet, so return its flow-control credit.
-                    self._drop(tlp, where="replay")
-                    self.credits.release()
-                    break
+    # -- receive side ------------------------------------------------------------
 
     def _deliver(self, tlp: TLP, epoch: int) -> None:
+        if (self._on_wire is not None
+                and self._on_wire_end_ps <= self.engine.now_ps):
+            self._settle()
         if not self.link.up or self.link.epoch != epoch:
             # The cable died (or flapped) while this packet flew: it is
             # lost, never delivered on a link that already went down.
             self._drop(tlp, where="in-flight")
-            self.credits.release()
+            self._release_credit()
             return
-        # Space is guaranteed: a credit is held until the sink drains.
-        if not self.sink.ingress.try_put(tlp):  # pragma: no cover - invariant
-            raise LinkError(f"{self.name}: rx overflow despite credits")
+        self.sink.deliver(tlp)
 
 
 class PCIeLink:
@@ -295,7 +454,7 @@ class PCIeLink:
         direction = self._by_source.get(id(source))
         if direction is None:
             raise LinkError(f"{source.name} is not an end of link {self.name}")
-        return direction.tx.put(tlp)
+        return direction.transmit(tlp)
 
     def take_down(self) -> None:
         """Simulate unplugging the external cable.

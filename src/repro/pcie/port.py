@@ -10,11 +10,11 @@ to couple two rings.
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from collections import deque
+from typing import TYPE_CHECKING, Deque, Optional
 
-from repro.errors import LinkError
+from repro.errors import LinkError, SimulationError
 from repro.sim.core import Engine, Signal
-from repro.sim.queues import Store
 from repro.pcie.tlp import TLP
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,10 +39,15 @@ class PortRole(enum.Enum):
 class Port:
     """One link attachment point of a device.
 
-    Egress: :meth:`send` enqueues onto the attached link's transmit queue.
-    Ingress: the link deposits packets into :attr:`ingress` (a bounded
-    store modelling receive flow-control credits); the owning device drains
-    it via its ingress loop.
+    Egress: :meth:`send` hands a packet to the attached link's transmit
+    side.  Ingress is a callback state machine, not a process: the link
+    calls :meth:`deliver` when a packet arrives, and the port runs the
+    owner's :meth:`~repro.pcie.device.Device.handle_tlp` right there.  A
+    multi-step handler (a generator of ``int`` delays and
+    :class:`~repro.sim.core.Signal` waits) is driven inline, one step per
+    timed wake-up; packets that arrive meanwhile wait in a FIFO bounded
+    by ``rx_credits`` (the receive buffer the far transmitter's credits
+    mirror) and are handled in order once the handler finishes.
     """
 
     def __init__(self, engine: Engine, name: str, role: PortRole,
@@ -52,14 +57,19 @@ class Port:
         self.role = role
         self.owner = owner
         self.link: Optional["PCIeLink"] = None
-        self.ingress = Store(engine, capacity=rx_credits, name=f"{name}.rx")
+        #: Receive-buffer depth in packets; the feeding link direction
+        #: sizes its credit pool from it.
+        self.rx_credits = rx_credits
         # Set by the link direction feeding this port: called once per
         # drained packet so the far transmitter gets its credit back.
         self.ingress_drained = None  # type: Optional[callable]
         self.tlps_sent = 0
         self.tlps_received = 0
-        self._ingress_proc = engine.process(self._ingress_loop(),
-                                            name=f"{name}.ingress")
+        # Delivered packets waiting for the running handler to finish.
+        self._fifo: Deque[TLP] = deque()
+        # The running multi-step handler (None when the port is free).
+        self._handler = None
+        self._waiting = None  # the Signal a blocked handler waits on
 
     @property
     def connected(self) -> bool:
@@ -69,7 +79,7 @@ class Port:
     @property
     def idle(self) -> bool:
         """True when no delivered TLP waits and no handler is running."""
-        return len(self.ingress) == 0 and bool(self.ingress._getters)
+        return self._handler is None and not self._fifo
 
     def attach(self, link: "PCIeLink") -> None:
         """Called by :class:`PCIeLink` when the cable is plugged in."""
@@ -93,13 +103,23 @@ class Port:
                         bytes=tlp.wire_bytes)
         return self.link.transmit(self, tlp)
 
-    def _ingress_loop(self):
-        """Drain the ingress queue into the owner's handler, in order."""
+    # -- ingress ------------------------------------------------------------
+
+    def deliver(self, tlp: TLP) -> None:
+        """A packet arrived from the link: handle it now or queue it."""
+        if self._handler is None:
+            self._handle(tlp)
+        elif len(self._fifo) < self.rx_credits:
+            self._fifo.append(tlp)
+        else:  # pragma: no cover - the feeding link's credits prevent it
+            raise LinkError(f"{self.name}: rx overflow despite credits")
+
+    def _handle(self, tlp: TLP) -> None:
+        """Handle ``tlp`` and every queued packet until a handler parks."""
         engine = self.engine
-        ingress_get = self.ingress.get
         handle_tlp = self.owner.handle_tlp
+        fifo = self._fifo
         while True:
-            tlp = yield ingress_get()
             self.tlps_received += 1
             tracer = engine.tracer
             if tracer is not None:
@@ -111,10 +131,59 @@ class Port:
                 drained()
             result = handle_tlp(self, tlp)
             if result is not None:
-                # Multi-step handling runs inline, to completion, before
-                # the next packet: PCIe's per-link ordering without a
-                # child process per TLP.
-                yield from result
+                # Multi-step handling: the next packet waits for it, which
+                # is PCIe's per-link ordering.
+                self._handler = result
+                if not self._step(None):
+                    return
+            if not fifo:
+                return
+            tlp = fifo.popleft()
+
+    def _step(self, value) -> bool:
+        """Advance the running handler; True once it has finished.
+
+        The handler may yield an ``int`` delay (resume after it) or a
+        :class:`Signal` (resume when it fires; a fired one continues at
+        once).  Anything else is a model bug.
+        """
+        handler = self._handler
+        while True:
+            try:
+                yielded = handler.send(value)
+            except StopIteration:
+                self._handler = None
+                return True
+            cls = yielded.__class__
+            if cls is int:
+                self.engine.after(yielded, self._resume, None)
+                return False
+            if cls is Signal:
+                if yielded.fired:
+                    value = yielded.value
+                    continue
+                # Blocked behind its handler: named in deadlock errors.
+                self._waiting = yielded
+                self.engine.watches[self] = None
+                yielded.add_callback(self._unblock)
+                return False
+            raise SimulationError(
+                f"port {self.name}: handler yielded unsupported "
+                f"{type(yielded).__name__}; expected an int delay or a "
+                "Signal")
+
+    def _resume(self, value) -> None:
+        if self._step(value) and self._fifo:
+            self._handle(self._fifo.popleft())
+
+    def _unblock(self, value) -> None:
+        self._waiting = None
+        del self.engine.watches[self]
+        self._resume(value)
+
+    def __str__(self) -> str:
+        return (f"port {self.name} blocked in its handler on "
+                f"{self._waiting!r} ({len(self._fifo)} TLP(s) queued)")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Port({self.name!r}, {self.role.value})"

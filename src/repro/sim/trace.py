@@ -6,9 +6,13 @@ costs one attribute check per call site when disabled — a disabled tracer
 does **no** work at all, not even counting.
 
 Span convention: a record whose ``detail`` carries ``dur_ps`` describes an
-interval that *ended* at ``time_ps`` after lasting ``dur_ps`` picoseconds
-(components emit once the modelled work completes).  Exporters and the
-latency-attribution walker in :mod:`repro.obs` rely on this.
+interval that *ended* at ``time_ps`` after lasting ``dur_ps`` picoseconds.
+Exporters and the latency-attribution walker in :mod:`repro.obs` rely on
+this.  Records are kept in time order: a component may emit a span after
+the simulated clock has moved past its end (a link direction counts a
+serialization when it next looks at its wire, with no event at the end
+instant), and such a record is placed after every record stamped no
+later than it.
 """
 
 from __future__ import annotations
@@ -58,7 +62,16 @@ class Tracer:
         if self.max_records is not None and len(self.records) >= self.max_records:
             self.dropped += 1
             return
-        self.records.append(TraceRecord(time_ps, component, kind, detail))
+        record = TraceRecord(time_ps, component, kind, detail)
+        records = self.records
+        if records and records[-1].time_ps > time_ps:
+            # A late span: the few records stamped after it move up.
+            i = len(records) - 1
+            while i and records[i - 1].time_ps > time_ps:
+                i -= 1
+            records.insert(i, record)
+        else:
+            records.append(record)
 
     def count(self, kind: str) -> int:
         """Number of events of ``kind`` seen so far (while enabled)."""

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import LinkError
+from repro.errors import LinkError, SimulationError
+from repro.pcie.device import Device
 from repro.pcie.gen import PCIeGen
 from repro.pcie.link import LinkParams, PCIeLink
-from repro.pcie.port import PortRole
+from repro.pcie.port import Port, PortRole
 from repro.pcie.tlp import make_write
 from repro.units import ns
 from tests.pcie.helpers import SinkDevice
@@ -128,3 +129,48 @@ def test_gen3_faster_than_gen2(engine):
     a.port.send(make_write(0, np.zeros(256, dtype=np.uint8)))
     engine.run()
     assert b.received[0][0] < ns(40)  # ~35.5 ns vs 70 ns on Gen2
+
+
+class StuckSink(Device):
+    """Its handler waits on a signal that never fires."""
+
+    def __init__(self, engine):
+        super().__init__(engine, "stuck")
+        self.port = Port(engine, "stuck.port", PortRole.EP, self,
+                         rx_credits=1)
+        self.never = engine.signal("never")
+
+    def handle_tlp(self, port, tlp):
+        return self._wait()
+
+    def _wait(self):
+        yield self.never
+
+
+def test_deadlock_names_the_parked_fabric_elements(engine):
+    a = SinkDevice(engine, "a", role=PortRole.RC)
+    stuck = StuckSink(engine)
+    link = PCIeLink(engine, a.port, stuck.port, LinkParams(latency_ps=ns(10)),
+                    name="l")
+
+    def sender():
+        for _ in range(8):
+            accepted = a.port.send(make_write(0, np.zeros(64, dtype=np.uint8)))
+            if not accepted.fired:
+                yield accepted
+
+    proc = engine.process(sender(), name="sender")
+    with pytest.raises(SimulationError) as raised:
+        engine.run_all([proc])
+    message = str(raised.value)
+    assert "'sender'" in message
+    # The first TLP blocks the handler, the second fills the one-credit
+    # receive buffer, the third waits for its credit.
+    assert "port stuck.port blocked in its handler" in message
+    assert "1 TLP(s) queued" in message
+    assert "link l:a->b waiting for credit (0/1 free)" in message
+    # Parked elements leave the watch list once they move again.
+    stuck.never.fire()
+    engine.run()
+    assert proc.done and not engine.watches
+    assert link.tlps_carried == 8 and stuck.port.tlps_received == 8
