@@ -441,20 +441,10 @@ class PCIeLink:
                                   params, self)
         self._dir_ba = _Direction(engine, f"{self.name}:b->a", port_b, port_a,
                                   params, self)
-        self._by_source = {id(port_a): self._dir_ab, id(port_b): self._dir_ba}
-        port_a.attach(self)
-        port_b.attach(self)
+        port_a.attach(self, self._dir_ab)
+        port_b.attach(self, self._dir_ba)
         if engine.faults is not None:
             engine.faults.register_link(self)
-
-    def transmit(self, source: Port, tlp: TLP) -> Signal:
-        """Queue ``tlp`` for the direction whose transmitter is ``source``."""
-        if not self.up:
-            raise LinkError(f"link {self.name} is down")
-        direction = self._by_source.get(id(source))
-        if direction is None:
-            raise LinkError(f"{source.name} is not an end of link {self.name}")
-        return direction.transmit(tlp)
 
     def take_down(self) -> None:
         """Simulate unplugging the external cable.

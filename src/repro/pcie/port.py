@@ -57,6 +57,7 @@ class Port:
         self.role = role
         self.owner = owner
         self.link: Optional["PCIeLink"] = None
+        self._tx = None  # the link direction this port transmits on
         #: Receive-buffer depth in packets; the feeding link direction
         #: sizes its credit pool from it.
         self.rx_credits = rx_credits
@@ -81,19 +82,23 @@ class Port:
         """True when no delivered TLP waits and no handler is running."""
         return self._handler is None and not self._fifo
 
-    def attach(self, link: "PCIeLink") -> None:
-        """Called by :class:`PCIeLink` when the cable is plugged in."""
+    def attach(self, link: "PCIeLink", tx) -> None:
+        """Called by :class:`PCIeLink` when the cable is plugged in;
+        ``tx`` is the link direction this port transmits on."""
         if self.link is not None:
             raise LinkError(f"port {self.name} already linked")
         self.link = link
+        self._tx = tx
 
     def detach(self) -> None:
         """Unplug the cable (used by link-failure experiments)."""
         self.link = None
+        self._tx = None
 
     def send(self, tlp: TLP) -> Signal:
         """Queue a packet for transmission; fires when accepted by the link."""
-        if self.link is None:
+        link = self.link
+        if link is None:
             raise LinkError(f"port {self.name} is not connected")
         self.tlps_sent += 1
         tracer = self.engine.tracer
@@ -101,7 +106,9 @@ class Port:
             tracer.emit(self.engine.now_ps, self.name, "tlp-sent",
                         tlp=tlp.kind.value, addr=tlp.address,
                         bytes=tlp.wire_bytes)
-        return self.link.transmit(self, tlp)
+        if not link.up:
+            raise LinkError(f"link {link.name} is down")
+        return self._tx.transmit(tlp)
 
     # -- ingress ------------------------------------------------------------
 
