@@ -47,8 +47,6 @@ class EgressQueue:
 
     def __init__(self, engine: Engine, port: Port, residual_latency_ps: int,
                  capacity: int = 8, name: str = ""):
-        if capacity <= 0:
-            raise LinkError("egress capacity must be positive")
         self.engine = engine
         self.port = port
         self.residual_latency_ps = max(0, residual_latency_ps)
@@ -100,22 +98,13 @@ class EgressQueue:
         The returned signal fires when the packet is *accepted* (queued);
         a full queue delays it — that is the backpressure edge.
         """
-        engine = self.engine
-        if not self._emitting:
-            self._emitting = True
-            if engine.metrics is not None:
-                self._sample_depth()
-            self._serve(engine.now_ps, tlp)
-            return self._accepted
         if len(self._fifo) < self.capacity:
-            self._fifo.append((engine.now_ps, tlp))
-            accepted = self._accepted
-        else:
-            accepted = Signal(engine, f"{self.name}.put")
-            self._putters.append((accepted, (engine.now_ps, tlp)))
-            engine.watches[self] = None
-        if engine.metrics is not None:
-            self._sample_depth()
+            self._enqueue(tlp)
+            return self._accepted
+        accepted = Signal(self.engine, f"{self.name}.put")
+        self._putters.append((accepted, (self.engine.now_ps, tlp)))
+        self.engine.watches[self] = None
+        self._sample_depth()
         return accepted
 
     def submit_injection(self, tlp: TLP) -> Signal:
@@ -126,19 +115,23 @@ class EgressQueue:
         keep a circulating hole.
         """
         if not self._injection_waiters and self._has_bubble():
-            if not self._emitting:
-                self._emitting = True
-                self._sample_depth()
-                self._serve(self.engine.now_ps, tlp)
-            else:
-                self._fifo.append((self.engine.now_ps, tlp))
-                self._sample_depth()
+            self._enqueue(tlp)
             return self._accepted
         self.injections_held += 1
         accepted = Signal(self.engine, f"{self.name}.inject")
         self._injection_waiters.append((accepted, tlp))
         self.engine.watches[self] = None
         return accepted
+
+    def _enqueue(self, tlp: TLP) -> None:
+        """Serve ``tlp`` at once if the stage is idle, else queue it."""
+        if self._emitting:
+            self._fifo.append((self.engine.now_ps, tlp))
+            self._sample_depth()
+        else:
+            self._emitting = True
+            self._sample_depth()
+            self._serve(self.engine.now_ps, tlp)
 
     def _has_bubble(self) -> bool:
         return self.capacity - len(self._fifo) >= self.BUBBLE_SLOTS
@@ -147,8 +140,7 @@ class EgressQueue:
         waiters = self._injection_waiters
         while waiters and self._has_bubble():
             accepted, tlp = waiters.popleft()
-            self._fifo.append((self.engine.now_ps, tlp))
-            self._sample_depth()
+            self._enqueue(tlp)
             accepted.fire()
         if not (waiters or self._putters):
             self.engine.watches.pop(self, None)
@@ -156,8 +148,7 @@ class EgressQueue:
     def _serve(self, enqueued_ps: int, tlp: TLP) -> None:
         """Put one packet in service: wait out its residual, then send."""
         engine = self.engine
-        if engine.metrics is not None:
-            self._sample_depth()
+        self._sample_depth()
         if self._injection_waiters:
             self._admit_injections()
         # Let the pipeline latency elapse relative to ingress time.

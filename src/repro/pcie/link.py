@@ -75,24 +75,20 @@ _OCCUPIED = 1 << 200
 class _Direction:
     """One simplex half of a link: tx FIFO, wire, credits, delivery.
 
-    A callback state machine, not a process.  Its state is plain: the
-    tx FIFO of accepted TLPs, ``busy_until_ps`` (the end of the current
-    serialization), the free credit count, and the TLP the transmitter
-    holds while it waits for a credit.  A TLP that finds the transmitter
-    free and a credit available starts serializing inline and schedules
-    only its delivery, ``serialize + latency_ps`` later.  Otherwise it
-    waits in the FIFO; the end of the serialization ahead of it (one
-    wake-up event) or the credit the sink returns starts it.  A sender
-    blocks only when the FIFO is full, and the TLP leaving the FIFO
-    admits it.
+    A callback state machine with plain state: the tx FIFO,
+    ``busy_until_ps`` (the end of the current serialization), the free
+    credit count and the TLP held for a credit.  A TLP that finds the
+    transmitter free and a credit available starts serializing inline
+    and schedules only its delivery.  Otherwise it waits in the FIFO
+    until the serialization ahead of it ends (one wake-up event) or the
+    sink returns a credit; a sender blocks only on a full FIFO.
 
-    A fault-free TLP counts as carried when its serialization *ends*.
-    With no event at that instant, the counters, the ``link-tx`` record
-    and the busy gauge are settled lazily, stamped with the explicit end
-    time: by the next serialization, by the delivery, or by a counter
-    read, whichever comes first.  While ``engine.faults`` is set each
-    serialization instead ends in an event that draws the link verdict
-    there, as the NAK/replay path needs.
+    A TLP counts as carried when its serialization ends.  With no event
+    at that instant, the fault-free path counts it when the direction
+    next serializes, delivers or has a counter read, stamping the
+    ``link-tx`` record and the busy gauge with the end time.  While
+    ``engine.faults`` is set, each serialization ends in an event that
+    draws the link verdict, as NAK/replay needs.
     """
 
     def __init__(self, engine: Engine, name: str, source: Port, sink: Port,
@@ -103,22 +99,20 @@ class _Direction:
         self.sink = sink
         self.params = params
         self.link = link
-        self.tx_capacity = params.tx_queue_tlps
         self._queue: Deque[TLP] = deque()
         self._putters: Deque[Tuple[Signal, TLP]] = deque()
-        # Returned by every transmit accepted at once (nobody ever waits
-        # on a fired signal, so one instance serves them all).
+        # Returned by every transmit accepted at once: nobody waits on a
+        # fired signal, so one instance serves them all.
         self._accepted = Signal.fired_signal(engine, f"{name}.tx.put")
         #: Simulated time the current serialization ends.
         self.busy_until_ps = 0
         self._wake_pending = False
-        # Taken from the FIFO by the transmitter, waiting for a credit.
-        self._held: Optional[TLP] = None
-        #: Credits mirror the *sink's* receive buffer, so a delivered TLP
+        self._held: Optional[TLP] = None  # taken, waiting for a credit
+        #: Credits mirror the sink's receive buffer, so a delivered TLP
         #: always finds space there.
         self.credit_limit = sink.rx_credits
         self.credits_free = self.credit_limit
-        # The fault-free serialization not yet counted, and its timing.
+        # The fault-free serialization not yet counted.
         self._on_wire: Optional[TLP] = None
         self._on_wire_end_ps = 0
         self._on_wire_ps = 0
@@ -158,7 +152,7 @@ class _Direction:
         self._m_wire_tlps = registry.counter(f"link.{name}.wire_tlps")
         self._m_wire_bytes = registry.counter(f"link.{name}.wire_bytes")
 
-    # -- counters (settled on read) -------------------------------------------
+    # -- counters: goodput counts each TLP once, wire counts replays too ------
 
     def _settle_due(self) -> None:
         if (self._on_wire is not None
@@ -167,23 +161,19 @@ class _Direction:
 
     @property
     def bytes_carried(self) -> int:
-        """Goodput: framed bytes accepted onto the wire toward delivery —
-        each TLP counts **once**, however many times the DLL had to
-        retransmit it."""
+        """Goodput: framed bytes serialized toward delivery."""
         self._settle_due()
         return self._bytes_carried
 
     @property
     def tlps_carried(self) -> int:
-        """Goodput: TLPs whose serialization toward delivery ended."""
+        """Goodput: TLPs serialized toward delivery."""
         self._settle_due()
         return self._tlps_carried
 
     @property
     def wire_bytes_carried(self) -> int:
-        """Wire traffic: framed bytes serialized, **including** every
-        NAK/replay retransmission (``wire - carried`` is the bandwidth
-        the DLL burned on reliability)."""
+        """Wire traffic: framed bytes serialized, replays included."""
         self._settle_due()
         return self._wire_bytes_carried
 
@@ -214,11 +204,10 @@ class _Direction:
             self._start(tlp)
             return self._accepted
         queue = self._queue
-        if len(queue) < self.tx_capacity:
+        if len(queue) < self.params.tx_queue_tlps:
             queue.append(tlp)
             if (not self._wake_pending and self._held is None
                     and self.busy_until_ps != _OCCUPIED):
-                # Wake the transmitter when the serialization ahead ends.
                 self._wake_pending = True
                 self.engine.at(self.busy_until_ps, self._wake)
             return self._accepted
@@ -246,8 +235,6 @@ class _Direction:
             self._drop(tlp, where="tx-queue")
 
     def _start(self, tlp: TLP) -> None:
-        """The free transmitter takes ``tlp``: serialize it if a credit
-        is free, else hold it until the sink returns one."""
         if self.credits_free:
             self.credits_free -= 1
             self._serialize(tlp)
@@ -268,13 +255,13 @@ class _Direction:
     def _serialize(self, tlp: TLP) -> None:
         engine = self.engine
         now = engine.now_ps
-        wire_bytes = tlp.wire_bytes
-        serialize_ps = self._serialize_ps.get(wire_bytes)
+        serialize_ps = self._serialize_ps.get(tlp.wire_bytes)
         if serialize_ps is None:
-            serialize_ps = transfer_ps(wire_bytes, self.params.bytes_per_ps)
-            self._serialize_ps[wire_bytes] = serialize_ps
+            serialize_ps = transfer_ps(tlp.wire_bytes,
+                                       self.params.bytes_per_ps)
+            self._serialize_ps[tlp.wire_bytes] = serialize_ps
         if self._on_wire is not None:
-            self._settle()  # ended no later than now: the wire was free
+            self._settle()  # it ended no later than now: the wire is free
         metrics = engine.metrics
         if metrics is not None:
             if metrics is not self._bound_metrics:
@@ -296,31 +283,35 @@ class _Direction:
             self._wake_pending = True
             engine.at(end, self._wake)
 
-    def _settle(self) -> None:
-        """Count the fault-free serialization that ended at
-        ``_on_wire_end_ps``; observation is stamped with that time."""
-        tlp = self._on_wire
-        self._on_wire = None
-        end = self._on_wire_end_ps
+    def _count_wire(self, tlp: TLP, end_ps: int, serialize_ps: int) -> None:
+        """A serialization of ``tlp`` ended at ``end_ps``."""
         wire_bytes = tlp.wire_bytes
         self._wire_bytes_carried += wire_bytes
         self._wire_tlps_carried += 1
-        self._bytes_carried += wire_bytes
-        self._tlps_carried += 1
         engine = self.engine
-        tracer = engine.tracer
-        if tracer is not None:
-            tracer.emit(end, self.name, "link-tx", dur_ps=self._on_wire_ps,
-                        bytes=wire_bytes, tlp=tlp.kind.value)
+        if engine.tracer is not None:
+            engine.tracer.emit(end_ps, self.name, "link-tx",
+                               dur_ps=serialize_ps, bytes=wire_bytes,
+                               tlp=tlp.kind.value)
         metrics = engine.metrics
         if metrics is not None:
             if metrics is not self._bound_metrics:
                 self._bind_metrics(metrics)
-            self._m_busy.set(0, end)
+            self._m_busy.set(0, end_ps)
             self._m_wire_tlps.inc()
             self._m_wire_bytes.inc(wire_bytes)
+
+    def _settle(self) -> None:
+        """Count the fault-free serialization that ended at
+        ``_on_wire_end_ps``."""
+        tlp = self._on_wire
+        self._on_wire = None
+        self._count_wire(tlp, self._on_wire_end_ps, self._on_wire_ps)
+        self._bytes_carried += tlp.wire_bytes
+        self._tlps_carried += 1
+        if self.engine.metrics is not None:
             self._m_tlps.inc()
-            self._m_bytes.inc(wire_bytes)
+            self._m_bytes.inc(tlp.wire_bytes)
 
     def _drop(self, tlp: TLP, where: str) -> None:
         self.tlps_dropped += 1
@@ -330,36 +321,22 @@ class _Direction:
         if self.engine.metrics is not None:
             self.engine.metrics.counter(f"link.{self.name}.dropped").inc()
 
-    # -- fault path: one event per serialization end ---------------------------
+    # -- fault path: an event at each serialization end ------------------------
 
     def _serialized(self, tlp: TLP, epoch: int, serialize_ps: int) -> None:
-        # The replay sequence runs while the transmitter stays occupied,
-        # which keeps delivery strictly in order (the replay buffer
-        # retransmits before anything younger may pass).
+        # The NAK/replay sequence keeps the transmitter occupied, which
+        # keeps delivery strictly in order (the replay buffer retransmits
+        # before anything younger may pass).
         engine = self.engine
-        wire_bytes = tlp.wire_bytes
-        self._wire_bytes_carried += wire_bytes
-        self._wire_tlps_carried += 1
-        tracer = engine.tracer
-        if tracer is not None:
-            tracer.emit(engine.now_ps, self.name, "link-tx",
-                        dur_ps=serialize_ps, bytes=wire_bytes,
-                        tlp=tlp.kind.value)
-        metrics = engine.metrics
-        if metrics is not None:
-            if metrics is not self._bound_metrics:
-                self._bind_metrics(metrics)
-            self._m_busy.set(0, engine.now_ps)
-            self._m_wire_tlps.inc()
-            self._m_wire_bytes.inc(wire_bytes)
+        self._count_wire(tlp, engine.now_ps, serialize_ps)
         faults = engine.faults
         verdict = "ok" if faults is None else faults.link_verdict(self.name)
         if verdict == "ok":
-            self._bytes_carried += wire_bytes
+            self._bytes_carried += tlp.wire_bytes
             self._tlps_carried += 1
-            if metrics is not None:
+            if engine.metrics is not None:
                 self._m_tlps.inc()
-                self._m_bytes.inc(wire_bytes)
+                self._m_bytes.inc(tlp.wire_bytes)
             engine.after(self.params.latency_ps, self._deliver, tlp, epoch)
             self.busy_until_ps = engine.now_ps
             self._next()
@@ -369,24 +346,23 @@ class _Direction:
         self.replays += 1
         if verdict == "corrupt":
             self.naks += 1
-            if engine.tracer is not None:
-                engine.trace(self.name, "link-nak", tlp=tlp.kind.value)
+            engine.trace(self.name, "link-nak", tlp=tlp.kind.value)
             if engine.metrics is not None:
                 engine.metrics.counter(f"link.{self.name}.naks").inc()
             # Corrupted TLP reaches the receiver (latency), fails the
             # LCRC check, the NAK DLLP travels back (latency).
             wait_ps = 2 * self.params.latency_ps + self.params.nak_processing_ps
         else:  # dropped on the wire: only the replay timer notices
-            if engine.tracer is not None:
-                engine.trace(self.name, "link-replay-timeout",
-                             tlp=tlp.kind.value)
+            engine.trace(self.name, "link-replay-timeout",
+                         tlp=tlp.kind.value)
             wait_ps = self.params.replay_timeout_ps
         engine.after(wait_ps, self._replayed, tlp, epoch, serialize_ps)
 
     def _replayed(self, tlp: TLP, epoch: int, serialize_ps: int) -> None:
         engine = self.engine
-        if engine.metrics is not None:
-            engine.metrics.counter(f"link.{self.name}.replays").inc()
+        metrics = engine.metrics
+        if metrics is not None:
+            metrics.counter(f"link.{self.name}.replays").inc()
         if not self.link.up or self.link.epoch != epoch:
             # The link died mid-replay; the sink will never drain this
             # packet, so its flow-control credit comes back here.
@@ -395,7 +371,6 @@ class _Direction:
             self.busy_until_ps = engine.now_ps
             self._next()
             return
-        metrics = engine.metrics
         if metrics is not None:
             if metrics is not self._bound_metrics:
                 self._bind_metrics(metrics)
@@ -406,9 +381,7 @@ class _Direction:
     # -- receive side ------------------------------------------------------------
 
     def _deliver(self, tlp: TLP, epoch: int) -> None:
-        if (self._on_wire is not None
-                and self._on_wire_end_ps <= self.engine.now_ps):
-            self._settle()
+        self._settle_due()
         if not self.link.up or self.link.epoch != epoch:
             # The cable died (or flapped) while this packet flew: it is
             # lost, never delivered on a link that already went down.

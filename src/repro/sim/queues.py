@@ -1,7 +1,7 @@
 """Blocking FIFO queues and counted resources for hardware models.
 
 :class:`Store` models a buffer between a producer and a consumer (e.g. a
-link's transmit queue); :class:`Resource` models a pool of identical
+DMA channel's prefetched descriptors); :class:`Resource` models a pool of identical
 execution slots (e.g. the maximum number of outstanding PCIe read requests
 a completer allows).
 """
@@ -41,13 +41,6 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def free_slots(self) -> Optional[int]:
-        """Remaining capacity, or None if unbounded."""
-        if self.capacity is None:
-            return None
-        return self.capacity - len(self._items)
-
     def put(self, item: Any) -> Signal:
         """Offer an item; the returned signal fires once it is enqueued."""
         if self._getters:
@@ -63,16 +56,6 @@ class Store:
         accepted = Signal(self.engine, self._put_name)
         self._putters.append((accepted, item))
         return accepted
-
-    def try_put(self, item: Any) -> bool:
-        """Non-blocking put; returns False if the store is full."""
-        if self._getters:
-            self._getters.popleft().fire(item)
-            return True
-        if self.capacity is not None and len(self._items) >= self.capacity:
-            return False
-        self._items.append(item)
-        return True
 
     def get(self) -> Signal:
         """Request the next item; the returned signal fires with it."""

@@ -68,12 +68,6 @@ class TestStore:
         got_times = {i: t for kind, i, t in events if kind == "got"}
         assert put_times[1] >= got_times[0]
 
-    def test_try_put_respects_capacity(self, engine):
-        store = Store(engine, capacity=2)
-        assert store.try_put(1) and store.try_put(2)
-        assert not store.try_put(3)
-        assert len(store) == 2
-
     def test_try_get(self, engine):
         store = Store(engine)
         ok, item = store.try_get()
@@ -81,12 +75,6 @@ class TestStore:
         store.put("x")
         ok, item = store.try_get()
         assert ok and item == "x"
-
-    def test_free_slots(self, engine):
-        assert Store(engine).free_slots is None
-        store = Store(engine, capacity=3)
-        store.put(1)
-        assert store.free_slots == 2
 
     def test_invalid_capacity(self, engine):
         with pytest.raises(SimulationError):
