@@ -1,7 +1,7 @@
 """MPI collectives over the point-to-point stack.
 
 Classic algorithms, enough to compare against the TCA-native collectives
-in :mod:`repro.apps`: ring allgather, binomial broadcast, and a
+in :mod:`repro.collectives`: ring allgather, binomial broadcast, and a
 dissemination barrier.  All of them move real bytes through the simulated
 HCAs and fabric.
 """

@@ -5,7 +5,7 @@ Every experiment can be regenerated standalone::
     python -m repro.bench fig7
     tca-bench latency
 
-or through the pytest-benchmark wrappers in ``benchmarks/``.
+and ``tca-bench suite`` runs them all against the anchor table.
 """
 
 from repro.bench.series import Series, SweepTable

@@ -15,6 +15,11 @@ taking the experiment options; ``suite``, ``perf`` and ``report`` take
 only the options they read, so a misplaced option is a usage error
 (exit 2) rather than silently ignored.
 
+``validate`` runs the ``latency``, ``fig7`` and ``fig9`` entries in smoke
+mode and checks every anchor that reads them against the anchor table
+(:mod:`repro.model.anchors`); it exits 1, naming each anchor, when any
+check does not pass.
+
 ``--trace`` / ``--metrics`` run the experiments under an observability
 session (see :mod:`repro.obs`): every engine the experiments build gets a
 tracer and a metrics registry, and the union is exported afterwards — a
@@ -39,6 +44,7 @@ from typing import Callable, Dict, List
 from repro.bench.experiments import REGISTRY
 from repro.bench.series import SweepTable
 from repro.errors import ReproError
+from repro.model.anchors import AnchorCheck
 
 
 def _registry_runner(spec) -> Callable[[], object]:
@@ -60,10 +66,41 @@ def _perf():
     return run_perf()
 
 
-def _validate() -> str:
-    from repro.model.validate import render_validation, validate_calibration
+#: The registry entries ``validate`` runs in smoke mode: the 782 ns PIO
+#: path, the Fig. 7 peaks and GPU-read ceiling, Fig. 9's request curve.
+VALIDATE_ENTRIES = ("latency", "fig7", "fig9")
 
-    return render_validation(validate_calibration())
+
+class Validation:
+    """The anchors of :data:`VALIDATE_ENTRIES`, checked against smoke runs."""
+
+    def __init__(self, checks: List[AnchorCheck]):
+        self.checks = checks
+
+    @property
+    def failed(self) -> List[AnchorCheck]:
+        """Every check that is not ``pass``.  A ``skipped`` check counts:
+        it means the smoke params lost a point the anchor reads."""
+        return [c for c in self.checks if c.status != "pass"]
+
+    def to_dict(self) -> Dict[str, object]:
+        return {"passed": len(self.checks) - len(self.failed),
+                "total": len(self.checks),
+                "anchors": [c.to_dict() for c in self.checks]}
+
+    def __str__(self) -> str:
+        lines = [str(c) for c in self.checks]
+        lines.append(f"{len(self.checks) - len(self.failed)}/"
+                     f"{len(self.checks)} anchors pass")
+        return "\n".join(lines)
+
+
+def _validate() -> Validation:
+    from repro.bench.suite import check_anchors
+
+    return Validation(check_anchors(
+        {name: to_payload(REGISTRY[name].run("smoke"))
+         for name in VALIDATE_ENTRIES}))
 
 
 def _suite_main(args) -> int:
@@ -423,13 +460,18 @@ def _experiments_main(args) -> int:
                    for name, result in results.items()}
         json.dump(payload, sys.stdout, indent=2, default=str)
         print()
-        return 0
+    else:
+        for name, result in results.items():
+            print(f"==== {name} ====")
+            print(render(result, chart=args.chart))
+            print()
 
-    for name, result in results.items():
-        print(f"==== {name} ====")
-        print(render(result, chart=args.chart))
-        print()
-    return 0
+    failed = results["validate"].failed if "validate" in results else []
+    for check in failed:
+        print(f"error: validate: {check}"
+              + (f" ({check.detail})" if check.detail else ""),
+              file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -473,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(see docs/robustness.md)")
     runnable = [(name, f"{spec.eid}: {spec.title}")
                 for name, spec in REGISTRY.items()]
-    runnable += [("validate", "re-measure the headline anchors"),
+    runnable += [("validate", "check the latency, fig7 and fig9 anchors "
+                              "on smoke runs"),
                  ("all", "every experiment, then validate and perf")]
     for name, text in runnable:
         sub = commands.add_parser(name, parents=[experiment], help=text)

@@ -3,8 +3,8 @@
 Each function builds fresh rigs, runs the sweep, and returns a
 :class:`~repro.bench.series.SweepTable` (or a dict for scalar results)
 whose ``render()`` matches the paper's rows/series.  The CLI
-(``python -m repro.bench <name>``) and the pytest-benchmark wrappers in
-``benchmarks/`` both call these.
+(``python -m repro.bench <name>``) and the suite runner
+(:mod:`repro.bench.suite`) call these through :data:`REGISTRY`.
 """
 
 from __future__ import annotations

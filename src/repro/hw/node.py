@@ -52,8 +52,7 @@ class NodeParams:
 
 def internal_link(latency_ps: int) -> LinkParams:
     """On-die attach: wide/fast enough to never be the bottleneck."""
-    return LinkParams(gen=PCIeGen.GEN3, lanes=32, latency_ps=latency_ps,
-                      rx_credits=64)
+    return LinkParams(gen=PCIeGen.GEN3, lanes=32, latency_ps=latency_ps)
 
 
 def slot_link(calib: Calibration, lanes: int = 8,

@@ -46,13 +46,15 @@ class LinkParams:
     than for on-board traces).  ``replay_timeout_ps`` is how long the
     transmitter waits for an ACK before retransmitting a lost TLP; a NAK'd
     (corrupted) TLP instead costs the detect + NAK-DLLP round trip of
-    ``2 * latency_ps + nak_processing_ps`` before its replay.
+    ``2 * latency_ps + nak_processing_ps`` before its replay.  A
+    direction's credit pool is not a link parameter: it is the receive
+    buffer of the port it delivers into, that :class:`Port`'s
+    ``rx_credits``.
     """
 
     gen: PCIeGen = PCIeGen.GEN2
     lanes: int = 8
     latency_ps: int = 120_000  # 120 ns default; calibrated values in model/
-    rx_credits: int = 32
     #: Transmit-queue depth; bounded so that a stalled receiver
     #: backpressures the sender instead of buffering unboundedly.
     tx_queue_tlps: int = 4

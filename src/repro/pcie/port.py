@@ -100,14 +100,14 @@ class Port:
         link = self.link
         if link is None:
             raise LinkError(f"port {self.name} is not connected")
+        if not link.up:
+            raise LinkError(f"link {link.name} is down")
         self.tlps_sent += 1
         tracer = self.engine.tracer
         if tracer is not None:
             tracer.emit(self.engine.now_ps, self.name, "tlp-sent",
                         tlp=tlp.kind.value, addr=tlp.address,
                         bytes=tlp.wire_bytes)
-        if not link.up:
-            raise LinkError(f"link {link.name} is down")
         return self._tx.transmit(tlp)
 
     # -- ingress ------------------------------------------------------------

@@ -658,8 +658,8 @@ class Engine:
 
         Returns the simulated time (ps) when the loop stopped.  This is
         the one run-to-completion loop: :meth:`run_process` and every
-        multi-process driver (ring collectives, contention, halo, ...)
-        go through it.
+        multi-process driver (ring collectives, contention, bisection,
+        ...) goes through it.
 
         The loop stops on exactly the event after which the last of
         ``procs`` finished — the same stop point as polling

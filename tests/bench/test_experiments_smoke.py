@@ -1,7 +1,8 @@
 """Smoke tests: every experiment entry point runs with tiny parameters.
 
-The full-fidelity runs live in ``benchmarks/``; these keep the harness
-itself covered by the fast unit suite.
+The full-fidelity runs are ``tca-bench suite`` entries checked against
+the anchor table; these keep the harness itself covered by the fast unit
+suite, with a few shape claims of the paper no anchor reads.
 """
 
 import pytest
@@ -17,16 +18,25 @@ def test_tables_and_theory():
         3.66, abs=0.01)
 
 
+def rises(series) -> bool:
+    ys = [y for _, y in sorted(series.points)]
+    return all(a < b for a, b in zip(ys, ys[1:]))
+
+
 def test_fig7_tiny():
-    table = experiments.fig7(sizes=(256,), count=4)
+    table = experiments.fig7(sizes=(64, 256, 1 * KiB, 4 * KiB), count=4)
     assert set(table.series) == {"CPU (write)", "CPU (read)",
                                  "GPU (write)", "GPU (read)"}
     assert all(s.y_at(256) > 0 for s in table.series.values())
+    # Fig. 7: bandwidth rises with the data size up to the 4-KB peak.
+    assert rises(table.series["CPU (write)"])
 
 
 def test_fig8_tiny():
-    table = experiments.fig8(sizes=(1 * KiB,))
+    table = experiments.fig8(sizes=(1 * KiB, 4 * KiB, 32 * KiB))
     assert table.series["CPU (write)"].y_at(1 * KiB) < 1.0
+    # Fig. 8: a single DMA recovers steadily through the 8-KB knee.
+    assert rises(table.series["CPU (write)"])
 
 
 def test_fig9_tiny():
@@ -39,6 +49,10 @@ def test_fig12_tiny():
     table = experiments.fig12(sizes=(512,), count=4)
     assert (table.series["remote CPU"].y_at(512)
             < table.series["local CPU (write)"].y_at(512))
+    # Fig. 12: remote GPU bandwidth equals the in-node one at every size,
+    # not only at the 256-B point the anchor reads.
+    assert table.series["remote GPU"].y_at(512) == pytest.approx(
+        table.series["local GPU (write)"].y_at(512), rel=0.05)
 
 
 def test_latency():

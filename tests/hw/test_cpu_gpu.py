@@ -99,6 +99,15 @@ class TestGPU:
         assert gpu.is_pinned(0, 4096)
         assert not gpu.is_pinned(4096, 1)
 
+    def test_kernel_roofline_timing(self, engine):
+        gpu = GPU(engine, "g", GPUParams(memory_bytes=64 * MiB))
+        # Memory-bound kernel: 1 MB moved at 208 GB/s ≈ 4.8 us + 5 us launch.
+        t = gpu.kernel_time_ps(flops=1e3, bytes_moved=1e6)
+        assert 9_000_000 < t < 11_000_000
+        # Compute-bound: 1 GFlop at 1.17 TFlops ≈ 855 us.
+        t = gpu.kernel_time_ps(flops=1e9, bytes_moved=1e3)
+        assert 800_000_000 < t < 900_000_000
+
     def test_unpin(self, engine):
         gpu, _ = make_gpu(engine)
         gpu.pin_pages(0, 4096)

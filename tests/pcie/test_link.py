@@ -174,3 +174,19 @@ def test_deadlock_names_the_parked_fabric_elements(engine):
     engine.run()
     assert proc.done and not engine.watches
     assert link.tlps_carried == 8 and stuck.port.tlps_received == 8
+
+
+def test_dead_link_egress_drop_is_not_counted_as_sent(engine):
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.pcie.forwarding import EgressQueue
+
+    FaultInjector(FaultPlan.preset("none")).arm(engine)
+    a, b, link = make_pair(engine)
+    queue = EgressQueue(engine, a.port, ns(50))
+    link.take_down()
+    queue.submit(make_write(0, np.zeros(64, dtype=np.uint8)))
+    engine.run()
+    # The egress stage dropped the TLP before any link saw it.
+    assert a.port.tlps_sent == 0
+    assert queue.tlps_dropped == 1
+    assert link.tlps_carried == 0

@@ -125,8 +125,12 @@ class TestDMA:
         data = np.random.default_rng(2).integers(0, 256, 16384,
                                                  dtype=np.uint8)
         cluster4.cuda[0].upload(src, data)
+        before = [cluster4.node(n).dram.bytes_written for n in range(4)]
         engine.run_process(comm4.tca_memcpy_peer(3, dst, 0, src, 16384))
         assert np.array_equal(cluster4.cuda[3].download(dst, 16384), data)
+        # GPU to GPU directly: no byte is staged through any host DRAM.
+        assert [cluster4.node(n).dram.bytes_written
+                for n in range(4)] == before
 
     def test_unpinned_gpu_destination_rejected(self, comm4, cluster4):
         """Writing to a GPU block whose pages were never pinned must fail
